@@ -1,26 +1,23 @@
 // Package measure provides the meters a benchmark harness attaches to a
-// simulated deployment: throughput and loss counting, latency capture
-// into HDR histograms, and per-flow fairness accounting. The meters
-// produce the performance half of the (performance, cost) points the
-// comparison methodology consumes.
+// simulated deployment: a packet-outcome ledger (throughput, loss,
+// per-class and per-window availability accounting from one set of
+// counters), latency capture into HDR histograms, and per-flow
+// fairness accounting. The meters produce the performance half of the
+// (performance, cost) points the comparison methodology consumes.
 package measure
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
 	"fairbench/internal/packet"
 	"fairbench/internal/perf"
-	"fairbench/internal/sim"
 )
 
-// ThroughputMeter counts offered, processed and lost packets/bits over
-// a simulated window.
-type ThroughputMeter struct {
-	start, end sim.Time
-	started    bool
-
+// Row counts one set of packets by outcome, in packets and bits. It is
+// the ledger's only counter type: the run total, each traffic class and
+// each availability window is a Row.
+type Row struct {
 	// Offered counts everything the traffic source emitted.
 	OfferedPackets, OfferedBits uint64
 	// Processed counts packets the system completed work on — whether
@@ -34,32 +31,18 @@ type ThroughputMeter struct {
 	LostPackets uint64
 }
 
-// Start marks the beginning of the measurement window.
-func (m *ThroughputMeter) Start(at sim.Time) {
-	m.start = at
-	m.started = true
-}
-
-// Stop marks the end of the window.
-func (m *ThroughputMeter) Stop(at sim.Time) { m.end = at }
-
-// Window returns the measurement duration.
-func (m *ThroughputMeter) Window() time.Duration {
-	if !m.started || m.end <= m.start {
-		return 0
-	}
-	return (m.end - m.start).Duration()
-}
+// ThroughputMeter is a Row used on its own, outside a Ledger.
+type ThroughputMeter = Row
 
 // Offer records an offered packet of frameBytes.
-func (m *ThroughputMeter) Offer(frameBytes int) {
+func (m *Row) Offer(frameBytes int) {
 	m.OfferedPackets++
 	m.OfferedBits += uint64(frameBytes) * 8
 }
 
 // Process records a completed packet; forwarded says whether it left
 // the system (vs an intended policy drop).
-func (m *ThroughputMeter) Process(frameBytes int, forwarded bool) {
+func (m *Row) Process(frameBytes int, forwarded bool) {
 	m.ProcessedPackets++
 	m.ProcessedBits += uint64(frameBytes) * 8
 	if forwarded {
@@ -69,35 +52,29 @@ func (m *ThroughputMeter) Process(frameBytes int, forwarded bool) {
 }
 
 // Lose records an overload drop.
-func (m *ThroughputMeter) Lose() { m.LostPackets++ }
+func (m *Row) Lose() { m.LostPackets++ }
 
 // LossFraction returns lost/offered, the RFC 2544 loss figure.
-func (m *ThroughputMeter) LossFraction() float64 {
+func (m *Row) LossFraction() float64 {
 	if m.OfferedPackets == 0 {
 		return 0
 	}
 	return float64(m.LostPackets) / float64(m.OfferedPackets)
 }
 
-// Processed returns the processed-work throughput over the window.
-func (m *ThroughputMeter) Processed() perf.Throughput {
-	return perf.Throughput{Bits: m.ProcessedBits, Packets: m.ProcessedPackets, Elapsed: m.Window()}
+// Processed returns the processed-work throughput over elapsed.
+func (m *Row) Processed(elapsed time.Duration) perf.Throughput {
+	return perf.Throughput{Bits: m.ProcessedBits, Packets: m.ProcessedPackets, Elapsed: elapsed}
 }
 
-// Forwarded returns the forwarded throughput over the window.
-func (m *ThroughputMeter) Forwarded() perf.Throughput {
-	return perf.Throughput{Bits: m.ForwardedBits, Packets: m.ForwardedPackets, Elapsed: m.Window()}
+// Forwarded returns the forwarded throughput over elapsed.
+func (m *Row) Forwarded(elapsed time.Duration) perf.Throughput {
+	return perf.Throughput{Bits: m.ForwardedBits, Packets: m.ForwardedPackets, Elapsed: elapsed}
 }
 
-// Offered returns the offered load over the window.
-func (m *ThroughputMeter) Offered() perf.Throughput {
-	return perf.Throughput{Bits: m.OfferedBits, Packets: m.OfferedPackets, Elapsed: m.Window()}
-}
-
-// String summarises the meter.
-func (m *ThroughputMeter) String() string {
-	return fmt.Sprintf("offered %s, processed %s, loss %.3f%%",
-		m.Offered(), m.Processed(), m.LossFraction()*100)
+// Offered returns the offered load over elapsed.
+func (m *Row) Offered(elapsed time.Duration) perf.Throughput {
+	return perf.Throughput{Bits: m.OfferedBits, Packets: m.OfferedPackets, Elapsed: elapsed}
 }
 
 // LatencyMeter captures per-packet latencies into an HDR histogram

@@ -10,9 +10,9 @@ import (
 // fraction: they need to know *whose* packets were lost (collateral
 // damage to legitimate flows vs successfully-shed attack traffic), how
 // full the state tables ran, and how fast entries were being evicted.
-// StateMeter tracks per-class traffic outcomes and samples bounded
-// state tables over simulated time; its summary separates goodput
-// (delivered legitimate traffic) from raw throughput.
+// StateMeter samples bounded state tables over simulated time and reads
+// per-class traffic outcomes from a Ledger's class rows; its summary
+// separates goodput (delivered legitimate traffic) from raw throughput.
 
 // StateLegitClass is the traffic class counted as legitimate for
 // goodput and collateral-damage accounting. An empty class is treated
@@ -34,19 +34,6 @@ type StateProbe struct {
 	Evictions func() uint64
 }
 
-// StateClassCounts accumulates outcomes for one traffic class.
-type StateClassCounts struct {
-	// Offered counts packets entering the system.
-	Offered uint64
-	// Delivered counts packets forwarded out; Dropped counts packets
-	// the system completed work on and intentionally discarded (policy
-	// drops, overflow refusals); Lost counts packets no component could
-	// take.
-	Delivered, Dropped, Lost uint64
-	// OfferedBytes and DeliveredBytes carry the byte totals.
-	OfferedBytes, DeliveredBytes uint64
-}
-
 // StateSample is one periodic snapshot of every probed table, in probe
 // registration order.
 type StateSample struct {
@@ -57,81 +44,40 @@ type StateSample struct {
 	Evictions []uint64
 }
 
-// StateMeter tracks per-class outcomes and table-pressure series for
-// one run. A nil *StateMeter is valid and turns every method into a
-// no-op, mirroring AvailabilityMeter's convention so the hot path pays
-// nothing when unmetered.
+// StateMeter samples table-pressure series for one run and summarizes
+// them with the per-class outcomes of a ledger's class rows.
 type StateMeter struct {
-	classes map[string]*StateClassCounts
+	led     *Ledger
 	probes  []StateProbe
 	samples []StateSample
 }
 
-// NewStateMeter builds an empty meter.
+// NewStateMeter builds an empty meter with a ledger of its own, which
+// Offer and Deliver record into until Track points it elsewhere.
 func NewStateMeter() *StateMeter {
-	return &StateMeter{classes: make(map[string]*StateClassCounts)}
+	return &StateMeter{led: &Ledger{window: 1}}
 }
 
 // AddProbe registers a table for periodic sampling.
 func (m *StateMeter) AddProbe(p StateProbe) {
-	if m == nil {
-		return
-	}
 	m.probes = append(m.probes, p)
 }
 
-func (m *StateMeter) class(name string) *StateClassCounts {
-	if name == "" {
-		name = StateLegitClass
-	}
-	c := m.classes[name]
-	if c == nil {
-		c = &StateClassCounts{}
-		m.classes[name] = c
-	}
-	return c
-}
+// Track makes l the source of the meter's per-class outcomes; a
+// deployment's RunScenario points its meter at the run's ledger.
+func (m *StateMeter) Track(l *Ledger) { m.led = l }
 
-// Offer records a packet of the class entering the system. Nil-safe.
-func (m *StateMeter) Offer(class string, bytes int) {
-	if m == nil {
-		return
-	}
-	c := m.class(class)
-	c.Offered++
-	c.OfferedBytes += uint64(bytes)
-}
+// Offer records a packet of the class entering the system.
+func (m *StateMeter) Offer(class string, bytes int) { m.led.Offer(class, 0, bytes) }
 
-// Deliver records a packet forwarded out. Nil-safe.
+// Deliver records a packet of the class forwarded out.
 func (m *StateMeter) Deliver(class string, bytes int) {
-	if m == nil {
-		return
-	}
-	c := m.class(class)
-	c.Delivered++
-	c.DeliveredBytes += uint64(bytes)
+	m.led.Resolve(m.led.ticket(class, 0, bytes), Forwarded)
 }
 
-// Drop records an intentional discard (policy drop or attributed
-// overflow refusal). Nil-safe.
-func (m *StateMeter) Drop(class string) {
-	if m == nil {
-		return
-	}
-	m.class(class).Dropped++
-}
-
-// Lose records a packet no component could take. Nil-safe.
-func (m *StateMeter) Lose(class string) {
-	if m == nil {
-		return
-	}
-	m.class(class).Lost++
-}
-
-// Sample snapshots every probed table at simulated time t. Nil-safe.
+// Sample snapshots every probed table at simulated time t.
 func (m *StateMeter) Sample(t float64) {
-	if m == nil || len(m.probes) == 0 {
+	if len(m.probes) == 0 {
 		return
 	}
 	s := StateSample{T: t, Occupancy: make([]int, len(m.probes)), Evictions: make([]uint64, len(m.probes))}
@@ -146,10 +92,18 @@ func (m *StateMeter) Sample(t float64) {
 	m.samples = append(m.samples, s)
 }
 
-// StateClassSummary is one class's aggregated outcomes.
+// StateClassSummary is one class's outcomes, read from its ledger row.
 type StateClassSummary struct {
 	Class string
-	StateClassCounts
+	// Offered counts packets entering the system.
+	Offered uint64
+	// Delivered counts packets forwarded out; Dropped counts packets
+	// the system completed work on and intentionally discarded (policy
+	// drops, overflow refusals); Lost counts packets no component could
+	// take.
+	Delivered, Dropped, Lost uint64
+	// OfferedBytes and DeliveredBytes carry the byte totals.
+	OfferedBytes, DeliveredBytes uint64
 }
 
 // StateTableSummary aggregates one probe's pressure series.
@@ -172,7 +126,7 @@ type StateSummary struct {
 	// DurationSeconds is the measurement window.
 	DurationSeconds float64
 	// Classes lists per-class outcomes sorted by class name (stable
-	// artifact ordering; never range the map directly).
+	// artifact ordering, independent of first-seen order).
 	Classes []StateClassSummary
 	// Tables lists per-probe pressure summaries in registration order.
 	Tables []StateTableSummary
@@ -190,30 +144,35 @@ type StateSummary struct {
 }
 
 // Summarize aggregates the meter over a run of the given duration. It
-// returns ErrEmptyWindow when the meter saw no traffic.
+// returns ErrEmptyWindow when the ledger saw no traffic.
 func (m *StateMeter) Summarize(durationSeconds float64) (StateSummary, error) {
-	if m == nil || len(m.classes) == 0 {
+	if len(m.led.Classes) == 0 {
 		return StateSummary{}, ErrEmptyWindow
 	}
 	if !(durationSeconds > 0) {
 		return StateSummary{}, fmt.Errorf("measure: invalid state-pressure window %v", durationSeconds)
 	}
 	s := StateSummary{DurationSeconds: durationSeconds, Samples: m.samples}
-	names := make([]string, 0, len(m.classes))
-	for name := range m.classes {
-		names = append(names, name)
+	for _, r := range m.led.Classes {
+		s.Classes = append(s.Classes, StateClassSummary{
+			Class:          r.Class,
+			Offered:        r.OfferedPackets,
+			Delivered:      r.ForwardedPackets,
+			Dropped:        r.ProcessedPackets - r.ForwardedPackets,
+			Lost:           r.LostPackets,
+			OfferedBytes:   r.OfferedBits / 8,
+			DeliveredBytes: r.ForwardedBits / 8,
+		})
 	}
-	sort.Strings(names)
-	var legit StateClassCounts
+	sort.Slice(s.Classes, func(i, j int) bool { return s.Classes[i].Class < s.Classes[j].Class })
+	var legit StateClassSummary
 	var deliveredPkts, deliveredBytes uint64
 	var offered uint64
-	for _, name := range names {
-		c := *m.classes[name]
-		s.Classes = append(s.Classes, StateClassSummary{Class: name, StateClassCounts: c})
+	for _, c := range s.Classes {
 		deliveredPkts += c.Delivered
 		deliveredBytes += c.DeliveredBytes
 		offered += c.Offered
-		if name == StateLegitClass {
+		if c.Class == StateLegitClass {
 			legit = c
 		}
 	}

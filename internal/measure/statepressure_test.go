@@ -8,25 +8,31 @@ import (
 )
 
 func TestStateMeterGoodputVsThroughput(t *testing.T) {
-	m := NewStateMeter()
+	l, err := NewLedger(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// 10 legit offered: 8 delivered, 1 policy-dropped, 1 lost.
 	for i := 0; i < 10; i++ {
-		m.Offer("legit", 100)
+		o := Forwarded
+		switch i {
+		case 8:
+			o = Dropped
+		case 9:
+			o = Lost
+		}
+		l.Resolve(l.Offer("legit", 0, 100), o)
 	}
-	for i := 0; i < 8; i++ {
-		m.Deliver("legit", 100)
-	}
-	m.Drop("legit")
-	m.Lose("legit")
 	// 5 flood offered, 2 delivered (leaked through), 3 dropped.
 	for i := 0; i < 5; i++ {
-		m.Offer("synflood", 60)
+		o := Dropped
+		if i < 2 {
+			o = Forwarded
+		}
+		l.Resolve(l.Offer("synflood", 0, 60), o)
 	}
-	m.Deliver("synflood", 60)
-	m.Deliver("synflood", 60)
-	m.Drop("synflood")
-	m.Drop("synflood")
-	m.Drop("synflood")
+	m := NewStateMeter()
+	m.Track(l)
 
 	s, err := m.Summarize(2)
 	if err != nil {
@@ -44,8 +50,17 @@ func TestStateMeterGoodputVsThroughput(t *testing.T) {
 	if s.CollateralFraction != 0.2 { // (1 drop + 1 loss) / 10 offered
 		t.Errorf("CollateralFraction = %v, want 0.2", s.CollateralFraction)
 	}
-	if len(s.Classes) != 2 {
-		t.Fatalf("classes = %d", len(s.Classes))
+	want := []StateClassSummary{
+		{Class: "legit", Offered: 10, Delivered: 8, Dropped: 1, Lost: 1, OfferedBytes: 1000, DeliveredBytes: 800},
+		{Class: "synflood", Offered: 5, Delivered: 2, Dropped: 3, OfferedBytes: 300, DeliveredBytes: 120},
+	}
+	if len(s.Classes) != len(want) {
+		t.Fatalf("classes = %+v", s.Classes)
+	}
+	for i := range want {
+		if s.Classes[i] != want[i] {
+			t.Errorf("class %d = %+v, want %+v", i, s.Classes[i], want[i])
+		}
 	}
 }
 
@@ -65,10 +80,10 @@ func TestStateMeterEmptyClassIsLegit(t *testing.T) {
 	}
 }
 
-// TestStateSummaryClassOrderDeterministic is the maporder regression
-// test: per-class aggregation lives in a map, and the summary must
-// render it sorted by class name every time, regardless of insertion
-// order — artifact byte-identity across runs depends on it.
+// TestStateSummaryClassOrderDeterministic: the ledger keeps classes in
+// first-seen order, and the summary must render them sorted by class
+// name every time, regardless of that order — artifact byte-identity
+// across runs depends on it.
 func TestStateSummaryClassOrderDeterministic(t *testing.T) {
 	insertions := [][]string{
 		{"synflood", "legit", "amplify", "attack"},
@@ -134,19 +149,6 @@ func TestStateMeterProbesAndSamples(t *testing.T) {
 	}
 	if tb.Evictions != 20 || tb.EvictionsPerSecond != 10 {
 		t.Errorf("evictions = %d (%v/s)", tb.Evictions, tb.EvictionsPerSecond)
-	}
-}
-
-func TestStateMeterNilSafe(t *testing.T) {
-	var m *StateMeter
-	m.Offer("legit", 1)
-	m.Deliver("legit", 1)
-	m.Drop("legit")
-	m.Lose("legit")
-	m.Sample(0)
-	m.AddProbe(StateProbe{})
-	if _, err := m.Summarize(1); !errors.Is(err, ErrEmptyWindow) {
-		t.Errorf("nil meter Summarize = %v, want ErrEmptyWindow", err)
 	}
 }
 

@@ -13,15 +13,9 @@ import (
 // Fault-injected runs: the deployment under a fault.Spec. The injector
 // schedules fault windows as first-class simulation events; device
 // faults actuate the hardware models through the plant adapter below,
-// link faults and burst overload act on the ingress path, and an
-// availability meter buckets offered traffic so the run reports
-// degraded-regime figures of merit alongside the usual measurement.
-
-// availWindows is how many availability buckets a faulted run's horizon
-// is divided into. Fault windows in the scenario catalogue span ~10% of
-// a run, so 40 buckets resolve onset, depth and recovery without
-// drowning short runs in empty windows.
-const availWindows = 40
+// link faults and burst overload act on the ingress path, and the run
+// ledger's availability windows report degraded-regime figures of merit
+// alongside the usual measurement.
 
 // FaultReport is the fault-side outcome of a faulted run, alongside the
 // usual Result.
@@ -100,14 +94,9 @@ func faultSpanDevice(w fault.Window) string {
 	return w.Target.String()
 }
 
-// armFaults attaches the availability meter, wires fault spans into the
-// trace, and arms the injector's event schedule.
+// armFaults wires fault spans into the trace and arms the injector's
+// event schedule.
 func (d *Deployment) armFaults(inj *fault.Injector, horizon sim.Time) error {
-	am, err := measure.NewAvailabilityMeter(horizon.Seconds() / availWindows)
-	if err != nil {
-		return err
-	}
-	d.avail = am
 	inj.OnTransition(func(w fault.Window, start bool) {
 		ev := obs.Event{
 			T:      d.s.Now().Seconds(),
@@ -130,9 +119,9 @@ func (d *Deployment) armFaults(inj *fault.Injector, horizon sim.Time) error {
 // packets count as loss (the offered load included them; the DUT never
 // saw them); corrupted frames reach the DUT and die in header
 // validation; device outages and brownouts play out in the deployment's
-// failover paths. An empty spec measures the healthy regime with the
-// availability meter attached, so healthy and degraded runs report
-// comparable figures.
+// failover paths. An empty spec measures the healthy regime and reports
+// its availability too, so healthy and degraded runs report comparable
+// figures.
 func (d *Deployment) RunWithFaults(gen *workload.Generator, arrival workload.Arrival, offeredPps, durationSeconds float64, spec fault.Spec) (Result, FaultReport, error) {
 	if offeredPps <= 0 || durationSeconds <= 0 {
 		return Result{}, FaultReport{}, fmt.Errorf("testbed: invalid run params pps=%v duration=%v", offeredPps, durationSeconds)
@@ -147,39 +136,36 @@ func (d *Deployment) RunWithFaults(gen *workload.Generator, arrival workload.Arr
 		prep:       func(horizon sim.Time) error { return d.armFaults(inj, horizon) },
 		rateFactor: inj.RateFactor,
 	}
-	res, err := d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(),
-		func(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) error {
-			var pk workload.Pkt
-			var err error
-			if needCopy {
-				pk, err = gen.NextCopy()
-			} else {
-				pk, err = gen.Next()
-			}
-			if err != nil {
-				return err
-			}
-			tput.Offer(len(pk.Frame))
-			if inj.DropArrival() {
-				rep.LinkDropped++
-				tput.Lose()
-				// Offered but never resolvable: the arrival window
-				// records it as lost service.
-				d.avail.Offer(d.s.Now().Seconds())
-				return nil
-			}
-			if idx, corrupt := inj.CorruptArrival(len(pk.Frame)); corrupt {
-				rep.LinkCorrupted++
-				pk.Frame[idx] ^= 0xff
-			}
-			d.dispatch(pk, tput, lat, fair)
+	res, err := d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(), func() error {
+		var pk workload.Pkt
+		var err error
+		if needCopy {
+			pk, err = gen.NextCopy()
+		} else {
+			pk, err = gen.Next()
+		}
+		if err != nil {
+			return err
+		}
+		if inj.DropArrival() {
+			// Offered but never seen by the DUT: lost service in the
+			// arrival window.
+			rep.LinkDropped++
+			d.admit(pk, true)
 			return nil
-		}, hooks)
+		}
+		if idx, corrupt := inj.CorruptArrival(len(pk.Frame)); corrupt {
+			rep.LinkCorrupted++
+			pk.Frame[idx] ^= 0xff
+		}
+		d.admit(pk, false)
+		return nil
+	}, hooks)
 	if err != nil {
 		return Result{}, FaultReport{}, err
 	}
 	rep.Windows = inj.Windows()
-	rep.Avail, err = d.avail.Summarize(measure.DefaultAvailabilityThreshold)
+	rep.Avail, err = d.led.Avail(measure.DefaultAvailabilityThreshold)
 	if err != nil {
 		return Result{}, FaultReport{}, fmt.Errorf("testbed: %s: availability: %w", d.cfg.Name, err)
 	}

@@ -74,28 +74,26 @@ func (d *Deployment) RunWithImpairments(gen *workload.Generator, arrival workloa
 		return res, stats, err
 	}
 	rng := im.rng()
-	res, err := d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(), func(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) error {
+	res, err := d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(), func() error {
 		pk, err := gen.NextCopy()
 		if err != nil {
 			return err
 		}
-		tput.Offer(len(pk.Frame))
 		if rng.Float64() < im.DropProb {
 			stats.Dropped++
-			tput.Lose()
+			d.admit(pk, true)
 			return nil
 		}
 		if rng.Float64() < im.CorruptProb {
 			stats.Corrupted++
 			pk.Frame[rng.Intn(len(pk.Frame))] ^= 0xff
 		}
-		d.dispatch(pk, tput, lat, fair)
+		d.admit(pk, false)
 		if rng.Float64() < im.DupProb {
 			stats.Duplicated++
 			dup := pk
 			dup.Frame = append([]byte(nil), pk.Frame...)
-			tput.Offer(len(dup.Frame))
-			d.dispatch(dup, tput, lat, fair)
+			d.admit(dup, false)
 		}
 		return nil
 	}, nil)
@@ -135,14 +133,10 @@ func (d *Deployment) runTrace(tr *workload.TraceReader, stretch float64, inj *fa
 	}
 	horizon := recs[len(recs)-1].at + 1e-6
 
-	var (
-		tput measure.ThroughputMeter
-		lat  = measure.NewLatencyMeter()
-		fair = measure.NewFairnessMeter()
-		rep  = FaultReport{Spec: spec}
-	)
-	tput.Start(0)
-	d.armObs(horizon)
+	rep := FaultReport{Spec: spec}
+	if err := d.begin(horizon); err != nil {
+		return Result{}, FaultReport{}, err
+	}
 	if inj != nil {
 		if err := d.armFaults(inj, horizon); err != nil {
 			return Result{}, FaultReport{}, err
@@ -152,41 +146,37 @@ func (d *Deployment) runTrace(tr *workload.TraceReader, stretch float64, inj *fa
 	for _, r := range recs {
 		r := r
 		if err := d.s.At(r.at, func() {
-			tput.Offer(len(r.frame))
-			frame := r.frame
+			pk := workload.Pkt{Frame: r.frame}
 			if inj != nil {
 				if inj.DropArrival() {
 					rep.LinkDropped++
-					tput.Lose()
-					d.avail.Offer(d.s.Now().Seconds())
+					d.admit(pk, true)
 					return
 				}
-				if idx, corrupt := inj.CorruptArrival(len(frame)); corrupt {
+				if idx, corrupt := inj.CorruptArrival(len(pk.Frame)); corrupt {
 					rep.LinkCorrupted++
-					frame = append([]byte(nil), frame...)
-					frame[idx] ^= 0xff
+					pk.Frame = append([]byte(nil), pk.Frame...)
+					pk.Frame[idx] ^= 0xff
 				}
 			}
-			pk := workload.Pkt{Frame: frame}
-			if err := scratch.Parse(frame); err == nil {
+			if scratch.Parse(pk.Frame) == nil {
 				if ft, ok := scratch.FiveTuple(); ok {
 					pk.Flow = ft
 				}
 			}
-			d.dispatch(pk, &tput, lat, fair)
+			d.admit(pk, false)
 		}); err != nil {
 			return Result{}, FaultReport{}, err
 		}
 	}
 	d.s.Run(horizon + 1)
-	tput.Stop(horizon)
-	res, err := d.collect(&tput, lat, fair, horizon)
+	res, err := d.collect(horizon)
 	if err != nil {
 		return Result{}, FaultReport{}, err
 	}
 	if inj != nil {
 		rep.Windows = inj.Windows()
-		rep.Avail, err = d.avail.Summarize(measure.DefaultAvailabilityThreshold)
+		rep.Avail, err = d.led.Avail(measure.DefaultAvailabilityThreshold)
 		if err != nil {
 			return Result{}, FaultReport{}, fmt.Errorf("testbed: %s: availability: %w", d.cfg.Name, err)
 		}

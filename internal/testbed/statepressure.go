@@ -13,7 +13,7 @@ import (
 // Scenario runs: internet-scale adversarial traffic against bounded
 // state planes. RunScenario drives a workload.ScenarioGen through the
 // deployment with the scenario's diurnal/flash-crowd rate curve applied
-// to the offered load, per-class outcomes metered for the
+// to the offered load, the run ledger's per-class outcomes feeding the
 // goodput-vs-throughput split, and every registered state table sampled
 // over simulated time.
 
@@ -22,13 +22,9 @@ import (
 // out of the hot path.
 const stateSampleWindows = 48
 
-// MeterState attaches a state-pressure meter for the next run. Probes
-// should be registered on the meter before the run; a nil meter (the
-// default) keeps the hot path class-blind.
-func (d *Deployment) MeterState(sm *measure.StateMeter) { d.state = sm }
-
-// armStateSampler schedules periodic table sampling up to the horizon.
-func (d *Deployment) armStateSampler(horizon sim.Time) error {
+// armStateSampler schedules periodic sampling of sm's tables up to the
+// horizon.
+func (d *Deployment) armStateSampler(sm *measure.StateMeter, horizon sim.Time) error {
 	every := horizon.Seconds() / stateSampleWindows
 	var tick func(at sim.Time) error
 	tick = func(at sim.Time) error {
@@ -36,7 +32,7 @@ func (d *Deployment) armStateSampler(horizon sim.Time) error {
 			return nil
 		}
 		return d.s.At(at, func() {
-			d.state.Sample(at.Seconds())
+			sm.Sample(at.Seconds())
 			_ = tick(at + sim.Time(every))
 		})
 	}
@@ -45,36 +41,35 @@ func (d *Deployment) armStateSampler(horizon sim.Time) error {
 
 // RunScenario offers a scenario's traffic at offeredPps (scaled by the
 // scenario's rate curve) for the given simulated duration. When sm is
-// non-nil it receives per-class outcomes and periodic samples of its
-// registered probes; summarize it with sm.Summarize(durationSeconds)
-// after the run. Scenario frames alias the generator's templates; the
-// deployment parses them synchronously, and MutatesFrames configs get
-// private copies, exactly like Run.
+// non-nil it reads per-class outcomes from the run's ledger and takes
+// periodic samples of its registered probes; summarize it with
+// sm.Summarize(durationSeconds) after the run. Scenario frames alias
+// the generator's templates; the deployment parses them synchronously,
+// and MutatesFrames configs get private copies, exactly like Run.
 func (d *Deployment) RunScenario(sg *workload.ScenarioGen, arrival workload.Arrival, offeredPps, durationSeconds float64, sm *measure.StateMeter) (Result, error) {
 	if offeredPps <= 0 || durationSeconds <= 0 {
 		return Result{}, fmt.Errorf("testbed: invalid scenario run params pps=%v duration=%v", offeredPps, durationSeconds)
 	}
-	d.state = sm
 	hooks := &runHooks{
 		rateFactor: func() float64 { return sg.RateFactor(d.s.Now().Seconds()) },
 	}
 	if sm != nil {
-		hooks.prep = func(horizon sim.Time) error { return d.armStateSampler(horizon) }
+		hooks.prep = func(horizon sim.Time) error {
+			sm.Track(d.led)
+			return d.armStateSampler(sm, horizon)
+		}
 	}
-	return d.runInjected(arrival, offeredPps, durationSeconds, sg.ArrivalRNG(),
-		func(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) error {
-			pk, class, err := sg.NextAt(d.s.Now().Seconds())
-			if err != nil {
-				return err
-			}
-			if d.cfg.MutatesFrames {
-				pk.Frame = append([]byte(nil), pk.Frame...)
-			}
-			tput.Offer(len(pk.Frame))
-			d.state.Offer(string(class), len(pk.Frame))
-			d.dispatch(pk, tput, lat, fair)
-			return nil
-		}, hooks)
+	return d.runInjected(arrival, offeredPps, durationSeconds, sg.ArrivalRNG(), func() error {
+		pk, _, err := sg.NextAt(d.s.Now().Seconds())
+		if err != nil {
+			return err
+		}
+		if d.cfg.MutatesFrames {
+			pk.Frame = append([]byte(nil), pk.Frame...)
+		}
+		d.admit(pk, false)
+		return nil
+	}, hooks)
 }
 
 // StatePressureHost builds an n-core conntrack firewall over the

@@ -151,13 +151,10 @@ type Deployment struct {
 	tr          *obs.Tracer
 	sampleEvery float64
 
-	// avail is the optional per-window availability meter faulted runs
-	// attach; nil (the default) keeps the hot path free of bucketing.
-	avail *measure.AvailabilityMeter
-
-	// state is the optional per-class state-pressure meter scenario
-	// runs attach; nil (the default) keeps the hot path class-blind.
-	state *measure.StateMeter
+	// led, lat and fair are the current run's meters (see begin).
+	led  *measure.Ledger
+	lat  *measure.LatencyMeter
+	fair *measure.FairnessMeter
 }
 
 // New assembles a deployment.
@@ -359,14 +356,6 @@ func spanSojourn(sp *obs.Span, so hw.Sojourn) {
 	sp.Stage("io", so.FixedSeconds)
 }
 
-// verdictLabel renders an NF verdict for trace events.
-func verdictLabel(forwarded bool) string {
-	if forwarded {
-		return "forward"
-	}
-	return "drop"
-}
-
 // Result is the measured outcome of a Run.
 type Result struct {
 	Name     string
@@ -394,49 +383,60 @@ func (d *Deployment) Run(gen *workload.Generator, arrival workload.Arrival, offe
 	if offeredPps <= 0 || durationSeconds <= 0 {
 		return Result{}, fmt.Errorf("testbed: invalid run params pps=%v duration=%v", offeredPps, durationSeconds)
 	}
-	return d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(),
-		func(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) error {
-			var pk workload.Pkt
-			var err error
-			if d.cfg.MutatesFrames {
-				pk, err = gen.NextCopy()
-			} else {
-				pk, err = gen.Next()
-			}
-			if err != nil {
-				return err
-			}
-			tput.Offer(len(pk.Frame))
-			d.dispatch(pk, tput, lat, fair)
-			return nil
-		}, nil)
+	return d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(), func() error {
+		var pk workload.Pkt
+		var err error
+		if d.cfg.MutatesFrames {
+			pk, err = gen.NextCopy()
+		} else {
+			pk, err = gen.Next()
+		}
+		if err != nil {
+			return err
+		}
+		d.admit(pk, false)
+		return nil
+	}, nil)
 }
 
 // injector produces and offers one packet per arrival event.
-type injector func(*measure.ThroughputMeter, *measure.LatencyMeter, *measure.FairnessMeter) error
+type injector func() error
 
 // runHooks customises runInjected for faulted runs.
 type runHooks struct {
-	// prep runs after observability is armed and before arrivals are
-	// scheduled — where the fault injector arms its event schedule.
+	// prep runs after the run's meters are built and observability is
+	// armed, and before arrivals are scheduled — where the fault
+	// injector arms its event schedule.
 	prep func(horizon sim.Time) error
 	// rateFactor scales the offered rate at each arrival (burst
 	// overload); nil means a constant factor of 1.
 	rateFactor func() float64
 }
 
+// availWindows is how many availability windows a run's horizon is
+// divided into. Fault windows in the scenario catalogue span ~10% of a
+// run, so 40 windows resolve onset, depth and recovery without
+// drowning short runs in empty windows.
+const availWindows = 40
+
+// begin builds the run's meters and arms observability.
+func (d *Deployment) begin(horizon sim.Time) error {
+	led, err := measure.NewLedger(horizon.Seconds() / availWindows)
+	if err != nil {
+		return err
+	}
+	d.led, d.lat, d.fair = led, measure.NewLatencyMeter(), measure.NewFairnessMeter()
+	d.armObs(horizon)
+	return nil
+}
+
 // runInjected drives the arrival process, calling inject per arrival,
 // then drains and collects the measurement. hooks may be nil.
 func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationSeconds float64, arrRng *sim.RNG, inject injector, hooks *runHooks) (Result, error) {
-	var (
-		tput    measure.ThroughputMeter
-		lat     = measure.NewLatencyMeter()
-		fair    = measure.NewFairnessMeter()
-		horizon = sim.Time(durationSeconds)
-		injErr  error
-	)
-	tput.Start(0)
-	d.armObs(horizon)
+	horizon := sim.Time(durationSeconds)
+	if err := d.begin(horizon); err != nil {
+		return Result{}, err
+	}
 	if hooks != nil && hooks.prep != nil {
 		if err := hooks.prep(horizon); err != nil {
 			return Result{}, err
@@ -447,13 +447,14 @@ func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationS
 		rate = func() float64 { return offeredPps * hooks.rateFactor() }
 	}
 
+	var injErr error
 	var schedule func(at sim.Time)
 	schedule = func(at sim.Time) {
 		if at > horizon {
 			return
 		}
 		if err := d.s.At(at, func() {
-			if err := inject(&tput, lat, fair); err != nil && injErr == nil {
+			if err := inject(); err != nil && injErr == nil {
 				injErr = err
 				d.s.Halt()
 				return
@@ -471,29 +472,48 @@ func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationS
 	if injErr != nil {
 		return Result{}, injErr
 	}
-	tput.Stop(horizon)
-	return d.collect(&tput, lat, fair, horizon)
+	return d.collect(horizon)
 }
 
-// collect assembles the Result from the meters and device energy.
-func (d *Deployment) collect(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter, end sim.Time) (Result, error) {
+// inFlight counts the packets still queued in a device.
+func (d *Deployment) inFlight() uint64 {
+	n := 0
+	for _, c := range d.cores {
+		n += c.QueueLen()
+	}
+	if d.smartnic != nil {
+		n += d.smartnic.BacklogPackets()
+	}
+	if d.fpga != nil {
+		n += d.fpga.BacklogPackets()
+	}
+	return uint64(n)
+}
+
+// collect checks the run ledger's conservation and assembles the
+// Result from the meters and device energy.
+func (d *Deployment) collect(end sim.Time) (Result, error) {
 	if end <= 0 {
 		// Run/RunTrace validate durations, so this is defensive: a
 		// zero-length window must not divide energy by zero below.
 		return Result{}, fmt.Errorf("testbed: %s: empty measurement window", d.cfg.Name)
 	}
+	if err := d.led.Balance(d.inFlight()); err != nil {
+		return Result{}, fmt.Errorf("testbed: %s: %w", d.cfg.Name, err)
+	}
 	d.finishObs(end)
+	t, el := &d.led.Total, end.Duration()
 	res := Result{
 		Name:          d.cfg.Name,
-		Duration:      end.Duration(),
-		Offered:       tput.Offered(),
-		Processed:     tput.Processed(),
-		Forwarded:     tput.Forwarded(),
-		LossFraction:  tput.LossFraction(),
-		LatencyMeanUs: lat.Summary().Mean / 1e3,
-		LatencyP50Us:  lat.P50Micros(),
-		LatencyP99Us:  lat.P99Micros(),
-		JFI:           fair.JFI(),
+		Duration:      el,
+		Offered:       t.Offered(el),
+		Processed:     t.Processed(el),
+		Forwarded:     t.Forwarded(el),
+		LossFraction:  t.LossFraction(),
+		LatencyMeanUs: d.lat.Summary().Mean / 1e3,
+		LatencyP50Us:  d.lat.P50Micros(),
+		LatencyP99Us:  d.lat.P99Micros(),
+		JFI:           d.fair.JFI(),
 	}
 	var energy float64
 	res.PerDeviceAvgWatts = make(map[string]float64)
@@ -511,17 +531,42 @@ func (d *Deployment) collect(tput *measure.ThroughputMeter, lat *measure.Latency
 	return res, nil
 }
 
-// dispatch pushes one offered packet through the deployment's path.
+// admit offers one packet to the run ledger at the current simulated
+// time, then dispatches it — or, when the ingress link dropped it,
+// settles it as lost before any device sees it.
+func (d *Deployment) admit(pk workload.Pkt, linkDropped bool) {
+	t := d.led.Offer(string(pk.Class), d.s.Now().Seconds(), len(pk.Frame))
+	if linkDropped {
+		d.led.Resolve(t, measure.Lost)
+		return
+	}
+	d.dispatch(pk, t)
+}
+
+// resolve settles a packet in the run ledger and closes its span on
+// device dev with the outcome as verdict.
+func (d *Deployment) resolve(t measure.Ticket, o measure.Outcome, sp *obs.Span, dev string) {
+	d.led.Resolve(t, o)
+	sp.End(dev, o.String())
+}
+
+// outcome maps an NF verdict to the packet's ledger outcome.
+func outcome(v nf.Verdict) measure.Outcome {
+	if v == nf.Drop {
+		return measure.Dropped
+	}
+	return measure.Forwarded
+}
+
+// dispatch pushes one admitted packet through the deployment's path.
 // When a tracer is attached, every packet gets a lifecycle span whose
 // stage durations sum to the latency the meters record. Offload devices
 // degrade gracefully: a downed switch fails open (the host firewall
 // still holds the full rule set), and FPGA overflow or outage spills to
 // the host cores when there are any — traffic is only lost when no
 // component can take it.
-func (d *Deployment) dispatch(pk workload.Pkt, tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) {
-	size := len(pk.Frame)
-	arrived := d.s.Now().Seconds()
-	d.avail.Offer(arrived)
+func (d *Deployment) dispatch(pk workload.Pkt, t measure.Ticket) {
+	flow := pk.Flow
 	extraLatency := 0.0
 	sp := d.startSpan()
 
@@ -529,15 +574,12 @@ func (d *Deployment) dispatch(pk workload.Pkt, tput *measure.ThroughputMeter, la
 	// switch is bypassed (fail-open), leaving all classification to the
 	// host.
 	if d.sw != nil && !d.offSwitch && !d.sw.Down() {
-		verdict, swLat := d.sw.Process(pk.Flow)
+		verdict, swLat := d.sw.Process(flow)
 		sp.Stage("switch", swLat)
 		if verdict == nf.Drop {
 			// Pre-dropped in-network: processed work, not forwarded.
-			tput.Process(size, false)
-			d.avail.Resolve(arrived, true)
-			d.state.Drop(string(pk.Class))
-			_ = lat.RecordSeconds(swLat)
-			sp.End(d.sw.Name(), "drop")
+			_ = d.lat.RecordSeconds(swLat)
+			d.resolve(t, measure.Dropped, sp, d.sw.Name())
 			return
 		}
 		extraLatency += swLat
@@ -546,29 +588,20 @@ func (d *Deployment) dispatch(pk workload.Pkt, tput *measure.ThroughputMeter, la
 	// Stage 2: FPGA full offload; overflow, flow-table punts and outage
 	// fail over to the host slow path when cores exist.
 	if d.fpga != nil {
-		verdict := d.functionalVerdict(pk)
-		if !d.fpga.SubmitFlow(pk.Flow, func(so hw.Sojourn) {
-			forwarded := verdict != nf.Drop
-			tput.Process(size, forwarded)
-			d.avail.Resolve(arrived, true)
-			if forwarded {
-				d.state.Deliver(string(pk.Class), size)
-				fair.Record(pk.Flow, size)
-			} else {
-				d.state.Drop(string(pk.Class))
+		o := outcome(d.functionalVerdict(pk))
+		if !d.fpga.SubmitFlow(flow, func(so hw.Sojourn) {
+			if o == measure.Forwarded {
+				d.fair.Record(flow, t.Bytes())
 			}
-			_ = lat.RecordSeconds(so.Total() + extraLatency)
+			_ = d.lat.RecordSeconds(so.Total() + extraLatency)
 			spanSojourn(sp, so)
-			sp.End(d.fpga.Name(), verdictLabel(forwarded))
+			d.resolve(t, o, sp, d.fpga.Name())
 		}) {
 			if len(d.cores) > 0 {
-				d.hostPath(pk, size, extraLatency, sp, tput, lat, fair)
+				d.hostPath(pk, t, extraLatency, sp)
 				return
 			}
-			tput.Lose()
-			d.avail.Resolve(arrived, false)
-			d.state.Lose(string(pk.Class))
-			sp.End(d.fpga.Name(), "loss")
+			d.resolve(t, measure.Lost, sp, d.fpga.Name())
 		}
 		return
 	}
@@ -576,77 +609,50 @@ func (d *Deployment) dispatch(pk workload.Pkt, tput *measure.ThroughputMeter, la
 	// Stage 3: SmartNIC fast path for established flows. Saturation,
 	// table misses and outages all punt to the host slow path.
 	if d.smartnic != nil && !d.offSmartNIC {
-		flow := pk.Flow
 		if d.smartnic.Offload(flow, func(so hw.Sojourn) {
-			tput.Process(size, true)
-			d.avail.Resolve(arrived, true)
-			d.state.Deliver(string(pk.Class), size)
-			fair.Record(flow, size)
-			_ = lat.RecordSeconds(so.Total() + extraLatency)
+			d.fair.Record(flow, t.Bytes())
+			_ = d.lat.RecordSeconds(so.Total() + extraLatency)
 			spanSojourn(sp, so)
-			sp.End(d.smartnic.Name(), "forward")
+			d.resolve(t, measure.Forwarded, sp, d.smartnic.Name())
 		}) {
 			return
 		}
 	}
 
 	// Stage 4: host slow path.
-	d.hostPath(pk, size, extraLatency, sp, tput, lat, fair)
+	d.hostPath(pk, t, extraLatency, sp)
 }
 
-// hostPath runs the NF on the packet's RSS core.
-func (d *Deployment) hostPath(pk workload.Pkt, size int, extraLatency float64, sp *obs.Span, tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) {
-	arrived := d.s.Now().Seconds()
-	if len(d.cores) == 0 {
-		tput.Lose()
-		d.avail.Resolve(arrived, false)
-		d.state.Lose(string(pk.Class))
-		sp.End("host", "loss")
-		return
-	}
+// hostPath runs the NF on the packet's RSS core. Callers ensure the
+// deployment has cores.
+func (d *Deployment) hostPath(pk workload.Pkt, t measure.Ticket, extraLatency float64, sp *obs.Span) {
 	coreID := hw.RSS(pk.Flow, len(d.cores))
 	core := d.cores[coreID]
 	parser := d.parsers[coreID]
-	if err := parser.Parse(pk.Frame); err != nil {
-		tput.Lose()
-		d.avail.Resolve(arrived, false)
-		d.state.Lose(string(pk.Class))
-		sp.End(core.Name(), "loss")
-		return
+	var res nf.Result
+	err := parser.Parse(pk.Frame)
+	if err == nil {
+		res, err = d.nfs[coreID].Process(parser, pk.Frame)
 	}
-	res, err := d.nfs[coreID].Process(parser, pk.Frame)
 	if err != nil {
-		tput.Lose()
-		d.avail.Resolve(arrived, false)
-		d.state.Lose(string(pk.Class))
-		sp.End(core.Name(), "loss")
+		d.resolve(t, measure.Lost, sp, core.Name())
 		return
 	}
 	flow := pk.Flow
-	class := string(pk.Class)
-	ok := core.Submit(res.Cycles, func(so hw.Sojourn) {
-		forwarded := res.Verdict != nf.Drop
-		tput.Process(size, forwarded)
-		d.avail.Resolve(arrived, true)
-		if forwarded {
-			d.state.Deliver(class, size)
-			fair.Record(flow, size)
-		} else {
-			d.state.Drop(class)
+	o := outcome(res.Verdict)
+	if !core.Submit(res.Cycles, func(so hw.Sojourn) {
+		if o == measure.Forwarded {
+			d.fair.Record(flow, t.Bytes())
 		}
-		_ = lat.RecordSeconds(so.Total() + extraLatency)
+		_ = d.lat.RecordSeconds(so.Total() + extraLatency)
 		spanSojourn(sp, so)
-		sp.End(core.Name(), verdictLabel(forwarded))
+		d.resolve(t, o, sp, core.Name())
 		// Install the offload entry once the host has vetted the flow.
-		if d.smartnic != nil && !d.offSmartNIC && forwarded {
+		if d.smartnic != nil && !d.offSmartNIC && o == measure.Forwarded {
 			d.smartnic.Install(flow)
 		}
-	})
-	if !ok {
-		tput.Lose()
-		d.avail.Resolve(arrived, false)
-		d.state.Lose(class)
-		sp.End(core.Name(), "loss")
+	}) {
+		d.resolve(t, measure.Lost, sp, core.Name())
 	}
 }
 

@@ -79,6 +79,8 @@ func TestHotpathsAnnotated(t *testing.T) {
 		"internal/nf.(*Firewall).Process":         false,
 		"internal/nf.(*Conntrack).Process":        false,
 		"internal/workload.(*ScenarioGen).NextAt": false,
+		"internal/measure.(*Ledger).Offer":        false,
+		"internal/measure.(*Ledger).Resolve":      false,
 	}
 	cfg := Config{Dir: root, Patterns: []string{"./..."}}
 	cfg.fillDefaults()
