@@ -1,15 +1,17 @@
-// Command fairvet runs fairlint's whole-program companion: an
-// interprocedural call-graph analysis that catches determinism
-// violations no per-file rule can see — wall clock, global RNG, and
-// goroutine spawns laundered into the sim boundary through wrappers;
-// RNG seeds that never derive from a Spec or trial parameter;
-// allocations on //fairbench:hotpath-annotated paths; and map
-// iteration order that escapes through returns or struct fields into
-// artifact writers. See internal/vet for the rule catalog.
+// Command fairvet machine-checks the determinism invariants of the
+// fairbench pipeline. It loads and type-checks the module once, runs the
+// per-package rules (no wall clock, no global RNG, no map-order leaks
+// into artifacts, no concurrency in event-loop packages, typed and
+// %w-wrapped error sentinels), then builds an interprocedural call
+// graph and runs the whole-program rules (nondeterminism laundered into
+// the sim boundary through wrappers, RNG seeds that never derive from a
+// parameter, allocations on //fairbench:hotpath-annotated paths, map
+// order escaping through returns or struct fields into writers). See
+// internal/vet for the rule catalog.
 //
 // Usage:
 //
-//	fairvet [-json] [packages...]
+//	fairvet [-json] [-dir root] [packages...]
 //
 // Package patterns are module-relative ("./...", "./internal/sim",
 // "./cmd/..."); the default is ./... . Exits 1 when findings remain
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"fairbench/internal/vet"
 )
@@ -43,17 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	root := *dir
-	if root == "" {
-		var err error
-		root, err = findModuleRoot()
-		if err != nil {
-			fmt.Fprintln(stderr, "fairvet:", err)
-			return 2
-		}
-	}
-
-	findings, err := vet.Run(vet.Config{Dir: root, Patterns: fs.Args()})
+	findings, err := vet.Run(vet.Config{Dir: *dir, Patterns: fs.Args()})
 	if err != nil {
 		fmt.Fprintln(stderr, "fairvet:", err)
 		return 2
@@ -77,23 +68,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// findModuleRoot walks up from the working directory to the nearest
-// go.mod, mirroring how the go tool locates the main module.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s (run fairvet inside the module)", dir)
-		}
-		dir = parent
-	}
 }

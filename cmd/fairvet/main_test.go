@@ -17,15 +17,20 @@ func TestCleanTreeExitsZero(t *testing.T) {
 	}
 }
 
+// TestFindingsExitNonzero runs the dirty fixture, which holds one
+// violation of a per-package rule and one of a whole-program rule: both
+// rule families must report, with positions, and fail the run.
 func TestFindingsExitNonzero(t *testing.T) {
 	var out, errBuf bytes.Buffer
 	if code := run([]string{"-dir", "testdata/dirty", "./..."}, &out, &errBuf); code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errBuf.String())
 	}
-	if !strings.Contains(out.String(), "seedprov") || !strings.Contains(out.String(), "bad.go:8") {
-		t.Errorf("finding not reported with position: %s", out.String())
+	for _, want := range []string{"bad.go:12:14: wallclock", "bad.go:17:33: seedprov"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("finding %q not reported: %s", want, out.String())
+		}
 	}
-	if !strings.Contains(errBuf.String(), "1 finding(s)") {
+	if !strings.Contains(errBuf.String(), "2 finding(s)") {
 		t.Errorf("summary missing from stderr: %s", errBuf.String())
 	}
 }
@@ -43,7 +48,7 @@ func TestJSONOutputDeterministic(t *testing.T) {
 	if err := json.Unmarshal([]byte(first), &findings); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, first)
 	}
-	if len(findings) != 1 || findings[0]["rule"] != "seedprov" {
+	if len(findings) != 2 || findings[0]["rule"] != "wallclock" || findings[1]["rule"] != "seedprov" {
 		t.Errorf("unexpected findings: %s", first)
 	}
 	if second := render(); second != first {

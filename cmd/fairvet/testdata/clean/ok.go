@@ -1,8 +1,33 @@
-// A fairvet-clean fixture: parameter-seeded randomness, no laundered
-// nondeterminism, no cross-function order leaks.
+// A fairvet-clean fixture: deterministic, sorted, sentinel-correct,
+// parameter-seeded randomness, no cross-function order leaks.
 package clean
 
-import "math/rand"
+import (
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"sort"
+)
+
+var ErrEmpty = errors.New("clean: empty input")
+
+func render(w io.Writer, m map[string]int) error {
+	if len(m) == 0 {
+		return fmt.Errorf("render: %w", ErrEmpty)
+	}
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if _, err := fmt.Fprintf(w, "%s=%d\n", k, m[k]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Draw samples from a caller-seeded generator.
 func Draw(seed int64, n int) int {

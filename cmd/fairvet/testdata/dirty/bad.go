@@ -1,7 +1,16 @@
-// A fixture with one deliberate seedprov violation for CLI tests.
+// A fixture with one per-package violation (wallclock) and one
+// whole-program violation (seedprov) for CLI tests.
 package dirty
 
-import "math/rand"
+import (
+	"math/rand"
+	"time"
+)
+
+// Stamp reads the wall clock.
+func Stamp() time.Time {
+	return time.Now()
+}
 
 // Fixed uses a hardcoded seed: the experiment cannot be re-seeded.
 func Fixed() *rand.Rand {

@@ -17,7 +17,7 @@
 // uninterrupted one; internal/runner/chaos proves both under injected
 // faults.
 //
-// This is also the one package fairlint permits concurrency in: the
+// This is also the one package fairvet permits concurrency in: the
 // deterministic simulation kernel stays single-threaded, and the
 // experiment drivers parallelize replicate trials through Map instead
 // of owning goroutines.

@@ -16,7 +16,7 @@ import (
 // would have skipped.
 //
 // Map is how the deterministic experiment drivers parallelize
-// replicate trials without owning any concurrency themselves: fairlint
+// replicate trials without owning any concurrency themselves: fairvet
 // confines goroutines to internal/runner, and the per-trial seeds are
 // pure functions of (base seed, trial index), so trial results are
 // independent of both worker count and completion order.

@@ -106,6 +106,7 @@ func (s *Sim) At(t Time, fn func()) error {
 	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
 		return fmt.Errorf("sim: invalid event time %v", t)
 	}
+	//fairlint:allow hotalloc one *event per At (fairperf sim.allocs_per_event = 1.0); ROADMAP item 2's value-typed event heap removes it
 	e := &event{at: t, seq: s.seq, fn: fn}
 	s.seq++
 	heap.Push(&s.queue, e)

@@ -11,7 +11,7 @@
 // run-dependent by nature, so it is excluded from byte-identity
 // guarantees exactly like the runner's journal, and telemetry must
 // never feed back into execution: attaching a Recorder cannot change
-// a single artifact byte. fairlint's wallclock rule allowlists this
+// a single artifact byte. fairvet's wallclock rule allowlists this
 // package (alongside internal/runner) and continues to flag wall
 // clock reads everywhere else.
 //

@@ -6,6 +6,67 @@ import (
 	"strings"
 )
 
+// allowPrefix is the suppression marker. Like go:build directives, it
+// must start the comment with no space after "//".
+const allowPrefix = "//fairlint:allow"
+
+// allowDirective is one parsed //fairlint:allow comment.
+type allowDirective struct {
+	file   string
+	line   int
+	col    int
+	rule   string
+	reason string
+	used   bool
+}
+
+// ParseAllow parses the text of a single line comment (including the
+// leading "//"). It returns the rule being allowed, the free-form reason,
+// and whether the comment is a fairlint:allow directive at all. A
+// directive with a missing rule or reason still parses (ok == true) with
+// the corresponding field empty; policy checks happen later so the defect
+// can be reported as a finding rather than silently ignored.
+func ParseAllow(text string) (rule, reason string, ok bool) {
+	rest, ok := strings.CutPrefix(text, allowPrefix)
+	if !ok {
+		return "", "", false
+	}
+	// Require a word boundary: "//fairlint:allowx" is not a directive.
+	if rest != "" && !isSpace(rest[0]) {
+		return "", "", false
+	}
+	fields := strings.Fields(rest)
+	if len(fields) == 0 {
+		return "", "", true
+	}
+	return fields[0], strings.Join(fields[1:], " "), true
+}
+
+// collectAllows extracts every fairlint:allow directive from the files'
+// comments, in deterministic (file, position) order.
+func collectAllows(fset *token.FileSet, root string, files []*ast.File) []*allowDirective {
+	var out []*allowDirective
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rule, reason, ok := ParseAllow(c.Text)
+				if !ok {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				out = append(out, &allowDirective{
+					file:   relFile(root, pos.Filename),
+					line:   pos.Line,
+					col:    pos.Column,
+					rule:   rule,
+					reason: reason,
+				})
+			}
+		}
+	}
+	return out
+}
+
 // hotpathPrefix marks a function as a measured hot path. Like
 // go:build and fairlint:allow directives, it must start the comment
 // with no space after "//". The optional remainder is a free-form note

@@ -1,4 +1,4 @@
-package lint
+package vet
 
 import (
 	"go/ast"
@@ -52,7 +52,7 @@ func checkSentinelSpec(p *pass, vs *ast.ValueSpec) {
 		if obj == nil {
 			continue
 		}
-		if !implementsError(obj.Type()) {
+		if !implementsEither(obj.Type(), errorIface) {
 			p.report(name.Pos(), RuleErrType,
 				"exported "+name.Name+" is not an error value",
 				"sentinels must implement error; use errors.New or a dedicated error type")
@@ -107,7 +107,7 @@ func checkErrorfWrap(p *pass, call *ast.CallExpr) {
 		if obj == nil || !isSentinelName(obj.Name()) {
 			continue
 		}
-		if _, isVar := obj.(*types.Var); !isVar || !implementsError(obj.Type()) {
+		if _, isVar := obj.(*types.Var); !isVar || !implementsEither(obj.Type(), errorIface) {
 			continue
 		}
 		sentinels = append(sentinels, obj.Name())

@@ -38,3 +38,40 @@ func FuzzParseHotpath(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseAllow hammers the //fairlint:allow comment parser: it must
+// never panic, must only accept exact-prefix directives, and must return
+// a whitespace-free rule with a space-normalized reason.
+func FuzzParseAllow(f *testing.F) {
+	f.Add("//fairlint:allow wallclock operator log only")
+	f.Add("//fairlint:allow wallclock")
+	f.Add("//fairlint:allow")
+	f.Add("//fairlint:allow\tmaporder\ttabbed reason")
+	f.Add("//fairlint:allowwallclock smushed")
+	f.Add("// fairlint:allow wallclock leading space")
+	f.Add("//fairlint:allow  rule  with   many   spaces  ")
+	f.Add("/* block */")
+	f.Add("//fairlint:allow \x00 nul")
+	f.Add("//fairlint:allow é üñí reason")
+	f.Fuzz(func(t *testing.T, text string) {
+		rule, reason, ok := ParseAllow(text)
+		if !ok {
+			if rule != "" || reason != "" {
+				t.Fatalf("rejected input returned data: rule=%q reason=%q", rule, reason)
+			}
+			return
+		}
+		if !strings.HasPrefix(text, allowPrefix) {
+			t.Fatalf("accepted text without directive prefix: %q", text)
+		}
+		if strings.ContainsAny(rule, " \t\n\r") {
+			t.Fatalf("rule contains whitespace: %q", rule)
+		}
+		if reason != strings.Join(strings.Fields(reason), " ") {
+			t.Fatalf("reason not space-normalized: %q", reason)
+		}
+		if rule == "" && reason != "" {
+			t.Fatalf("reason without rule: %q", reason)
+		}
+	})
+}

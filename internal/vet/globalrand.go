@@ -1,4 +1,4 @@
-package lint
+package vet
 
 import (
 	"go/ast"

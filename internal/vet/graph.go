@@ -5,9 +5,8 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
-
-	"fairbench/internal/lint"
 )
 
 // source is one direct nondeterminism source inside a function body.
@@ -25,7 +24,7 @@ type source struct {
 type fnode struct {
 	key     string // deterministic display/sort key, e.g. "internal/sim.(*Sim).At"
 	rel     string // module-relative package dir
-	pkg     *lint.Package
+	pkg     *loadedPkg
 	fn      *types.Func
 	decl    *ast.FuncDecl
 	out     []*fnode // callees, deduped, sorted by key
@@ -55,7 +54,7 @@ type methodEntry struct {
 type graph struct {
 	cfg     *Config
 	fset    *token.FileSet
-	pkgs    []*lint.Package
+	pkgs    []*loadedPkg
 	nodes   []*fnode // sorted by key
 	byFn    map[*types.Func]*fnode
 	methods []methodEntry
@@ -64,7 +63,7 @@ type graph struct {
 	// pruned to the caller's closure: a concrete type the caller's
 	// package cannot name is exceedingly unlikely to be its dynamic
 	// callee, and admitting all implementers drowns the boundary in
-	// phantom paths (see DESIGN.md §11 for the precision argument).
+	// phantom paths (see DESIGN.md §6 for the precision argument).
 	closure map[string]map[string]bool
 }
 
@@ -75,7 +74,7 @@ type graph struct {
 // function passed as a value is assumed called by whoever takes it).
 // Calls through plain function-typed values add no edges — the closure
 // attribution rule above covers the common callback shapes.
-func buildGraph(cfg *Config, pkgs []*lint.Package, fset *token.FileSet) *graph {
+func buildGraph(cfg *Config, pkgs []*loadedPkg, fset *token.FileSet) *graph {
 	g := &graph{
 		cfg:     cfg,
 		fset:    fset,
@@ -85,24 +84,24 @@ func buildGraph(cfg *Config, pkgs []*lint.Package, fset *token.FileSet) *graph {
 	}
 
 	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
+		for _, f := range pkg.files {
 			hotLines := hotpathLines(fset, f)
 			for _, d := range f.Decls {
 				decl, ok := d.(*ast.FuncDecl)
 				if !ok || decl.Body == nil {
 					continue
 				}
-				fn, ok := pkg.Info.Defs[decl.Name].(*types.Func)
+				fn, ok := pkg.info.Defs[decl.Name].(*types.Func)
 				if !ok {
 					continue
 				}
 				key := declName(fn)
-				if pkg.Rel != "." {
-					key = pkg.Rel + "." + key
+				if pkg.rel != "." {
+					key = pkg.rel + "." + key
 				}
 				n := &fnode{
 					key:    key,
-					rel:    pkg.Rel,
+					rel:    pkg.rel,
 					pkg:    pkg,
 					fn:     fn,
 					decl:   decl,
@@ -158,11 +157,11 @@ func declName(fn *types.Func) string {
 
 // indexMethods records every concrete method of every package-scope
 // named type, for dynamic-dispatch resolution.
-func (g *graph) indexMethods(pkg *lint.Package) {
-	if pkg.Types == nil {
+func (g *graph) indexMethods(pkg *loadedPkg) {
+	if pkg.types == nil {
 		return
 	}
-	scope := pkg.Types.Scope()
+	scope := pkg.types.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok || tn.IsAlias() {
@@ -176,7 +175,7 @@ func (g *graph) indexMethods(pkg *lint.Package) {
 			continue
 		}
 		for i := 0; i < named.NumMethods(); i++ {
-			g.methods = append(g.methods, methodEntry{rel: pkg.Rel, named: named, fn: named.Method(i)})
+			g.methods = append(g.methods, methodEntry{rel: pkg.rel, named: named, fn: named.Method(i)})
 		}
 	}
 }
@@ -186,16 +185,16 @@ func (g *graph) buildClosure() {
 	byPath := map[string]string{} // import path -> rel
 	direct := map[string][]string{}
 	for _, pkg := range g.pkgs {
-		byPath[pkg.ImportPath] = pkg.Rel
+		byPath[pkg.importPath] = pkg.rel
 	}
 	for _, pkg := range g.pkgs {
 		seen := map[string]bool{}
-		for _, f := range pkg.Files {
+		for _, f := range pkg.files {
 			for _, imp := range f.Imports {
 				path := strings.Trim(imp.Path.Value, `"`)
 				if rel, ok := byPath[path]; ok && !seen[rel] {
 					seen[rel] = true
-					direct[pkg.Rel] = append(direct[pkg.Rel], rel)
+					direct[pkg.rel] = append(direct[pkg.rel], rel)
 				}
 			}
 		}
@@ -212,35 +211,16 @@ func (g *graph) buildClosure() {
 	}
 	for _, pkg := range g.pkgs {
 		set := map[string]bool{}
-		visit(pkg.Rel, set)
-		g.closure[pkg.Rel] = set
+		visit(pkg.rel, set)
+		g.closure[pkg.rel] = set
 	}
-}
-
-// wallclockFuncs mirrors fairlint's wallclock set: the time functions
-// that read or wait on the wall clock.
-var wallclockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "AfterFunc": true, "Tick": true,
-	"NewTimer": true, "NewTicker": true,
-}
-
-// randExemptFuncs mirrors fairlint's globalrand exemptions: math/rand
-// package functions that do not touch the shared global generator.
-var randExemptFuncs = map[string]bool{
-	"New": true, "NewSource": true, "NewPCG": true,
-	"NewChaCha8": true, "NewZipf": true,
-}
-
-func isRandPath(path string) bool {
-	return path == "math/rand" || path == "math/rand/v2"
 }
 
 // scanBody walks one declaration (including nested function literals)
 // and records direct taint sources, call edges, dispatch edges, and
 // address-taken edges.
 func (g *graph) scanBody(n *fnode) {
-	info := n.pkg.Info
+	info := n.pkg.info
 	// Idents consumed as the Fun of a call; references outside this set
 	// are address-taken uses.
 	calleeIdents := map[*ast.Ident]bool{}
@@ -286,7 +266,7 @@ func origin(fn *types.Func) *types.Func {
 // callEdges resolves one call expression into graph edges and direct
 // taint sources.
 func (g *graph) callEdges(n *fnode, call *ast.CallExpr) {
-	info := n.pkg.Info
+	info := n.pkg.info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		// Conversion. An interface conversion makes the operand's
 		// matching methods dynamically callable.
@@ -391,17 +371,6 @@ func (g *graph) boxingEdges(n *fnode, ifaceType, argType types.Type) {
 	}
 }
 
-// implementsEither reports whether t or *t satisfies iface.
-func implementsEither(t types.Type, iface *types.Interface) bool {
-	if types.Implements(t, iface) {
-		return true
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), iface)
-	}
-	return false
-}
-
 func typeAsSignature(t types.Type) (*types.Signature, bool) {
 	if t == nil {
 		return nil, false
@@ -435,67 +404,9 @@ func paramType(sig *types.Signature, i int, spread bool) (types.Type, bool) {
 	return params.At(i).Type(), true
 }
 
-// calleeFunc resolves the *types.Func a call invokes, or nil for
-// builtin, dynamic, or conversion calls (mirrors fairlint's helper).
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
-}
-
-// identObj resolves an identifier to its object via Uses or Defs.
-func identObj(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Uses[id]; o != nil {
-		return o
-	}
-	return info.Defs[id]
-}
-
-// inDirs reports whether module-relative package dir rel is one of (or
-// nested under one of) the listed dirs.
-func inDirs(rel string, dirs []string) bool {
-	for _, d := range dirs {
-		d = strings.TrimSuffix(strings.TrimPrefix(d, "./"), "/")
-		if rel == d || strings.HasPrefix(rel, d+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // shortPos renders a position as "file:line" relative to the analyzed
 // root, for call-chain hints.
 func (g *graph) shortPos(pos token.Pos) string {
 	p := g.fset.Position(pos)
-	return lint.RelFile(g.cfg.Dir, p.Filename) + ":" + itoa(p.Line)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return relFile(g.cfg.Dir, p.Filename) + ":" + strconv.Itoa(p.Line)
 }

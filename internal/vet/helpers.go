@@ -1,4 +1,4 @@
-package lint
+package vet
 
 import (
 	"go/ast"
@@ -46,8 +46,8 @@ func isPkgFunc(fn *types.Func, pkgPath string) bool {
 	return ok && sig.Recv() == nil
 }
 
-// ioWriterIface is a structurally-built io.Writer so we can test
-// types.Implements without importing io's type data.
+// ioWriterIface is io.Writer built structurally, so implementation
+// checks need no import of io's type data at analysis time.
 var ioWriterIface = func() *types.Interface {
 	write := types.NewFunc(token.NoPos, nil, "Write", types.NewSignatureType(nil, nil, nil,
 		types.NewTuple(types.NewVar(token.NoPos, nil, "p", types.NewSlice(types.Typ[types.Byte]))),
@@ -61,32 +61,19 @@ var ioWriterIface = func() *types.Interface {
 	return iface
 }()
 
-// implementsWriter reports whether t (or *t) satisfies io.Writer.
-func implementsWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if types.Implements(t, ioWriterIface) {
-		return true
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), ioWriterIface)
-	}
-	return false
-}
-
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-// implementsError reports whether t (or *t) satisfies the error interface.
-func implementsError(t types.Type) bool {
+// implementsEither reports whether t, or *t for a non-pointer t,
+// satisfies iface.
+func implementsEither(t types.Type, iface *types.Interface) bool {
 	if t == nil {
 		return false
 	}
-	if types.Implements(t, errorIface) {
+	if types.Implements(t, iface) {
 		return true
 	}
 	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), errorIface)
+		return types.Implements(types.NewPointer(t), iface)
 	}
 	return false
 }

@@ -1,4 +1,4 @@
-package lint
+package vet
 
 import (
 	"fmt"
@@ -16,26 +16,32 @@ import (
 // loadedPkg is one type-checked package of the analyzed tree.
 type loadedPkg struct {
 	rel        string // module-relative dir, "." for the root package
-	importPath string // modulePath + "/" + rel ("" when no go.mod)
+	importPath string // modulePath + "/" + rel, or rel when the tree has no go.mod
 	files      []*ast.File
 	types      *types.Package
 	info       *types.Info
 }
 
-// pass is the per-package context handed to each analyzer.
+// pass is the per-package context handed to each per-package rule.
 type pass struct {
+	*loadedPkg
 	cfg    *Config
-	fset   *token.FileSet
-	rel    string
-	pkg    *types.Package
-	files  []*ast.File
-	info   *types.Info
-	report func(pos token.Pos, rule, msg, hint string)
+	report reportFunc
+}
+
+// perPackage lifts a per-package rule into the rule table's signature:
+// it runs the rule once per loaded package, in load order.
+func perPackage(rule func(*pass)) func(*graph, reportFunc) {
+	return func(g *graph, report reportFunc) {
+		for _, pkg := range g.pkgs {
+			rule(&pass{loadedPkg: pkg, cfg: g.cfg, report: report})
+		}
+	}
 }
 
 // load discovers, parses, and type-checks every package under cfg.Dir
 // matching cfg.Patterns, in deterministic dependency order. Test files
-// (_test.go) are exempt from fairlint: tests may use wall time and ad-hoc
+// (_test.go) are not analyzed: tests may use wall time and ad-hoc
 // randomness freely, because they never feed artifacts.
 func load(cfg *Config) ([]*loadedPkg, *token.FileSet, error) {
 	root, err := filepath.Abs(cfg.Dir)
@@ -305,6 +311,23 @@ func readModulePath(gomod string) string {
 		}
 	}
 	return ""
+}
+
+// moduleRoot walks up from the working directory to the nearest go.mod,
+// mirroring how the go tool locates the main module.
+func moduleRoot() (string, error) {
+	wd, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for dir := wd; ; dir = filepath.Dir(dir) {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		if filepath.Dir(dir) == dir {
+			return "", fmt.Errorf("no go.mod found above %s (run fairvet inside the module)", wd)
+		}
+	}
 }
 
 // relFile converts an absolute filename into a slash-separated path

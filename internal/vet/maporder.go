@@ -1,4 +1,4 @@
-package lint
+package vet
 
 import (
 	"go/ast"
@@ -108,7 +108,7 @@ func sensitiveWrite(p *pass, call *ast.CallExpr) (string, bool) {
 			return "io.WriteString", true
 		case isMethod && (strings.HasPrefix(fn.Name(), "Write") || strings.HasPrefix(fn.Name(), "Print")):
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if implementsWriter(p.info.TypeOf(sel.X)) {
+				if implementsEither(p.info.TypeOf(sel.X), ioWriterIface) {
 					return "an io.Writer method (" + fn.Name() + ")", true
 				}
 			}
@@ -116,8 +116,7 @@ func sensitiveWrite(p *pass, call *ast.CallExpr) (string, bool) {
 	}
 	// A writer handed to any helper makes the helper's output order-dependent.
 	for _, arg := range call.Args {
-		t := p.info.TypeOf(arg)
-		if t != nil && implementsWriter(t) {
+		if implementsEither(p.info.TypeOf(arg), ioWriterIface) {
 			return "a helper taking an io.Writer", true
 		}
 	}

@@ -2,44 +2,22 @@ package vet
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
-
-	"fairbench/internal/lint"
 )
 
-func moduleRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above test working directory")
-		}
-		dir = parent
-	}
-}
-
 // TestModuleSelfVet is fairvet's own acceptance gate: the whole module
-// must be clean (every finding fixed or justified with an explained
-// allow), and two independent whole-program runs must emit
-// byte-identical JSON — call-graph construction, taint propagation,
-// and fixpoint iteration may not leak map order or pointer identity
-// into the output.
+// must be clean under every rule (each finding fixed or justified with
+// an explained allow), and two independent runs must emit
+// byte-identical JSON — loading, call-graph construction, taint
+// propagation, and fixpoint iteration may not leak map order or pointer
+// identity into the output; the analyzer cannot demand determinism it
+// does not itself have.
 func TestModuleSelfVet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is not short")
 	}
-	root := moduleRoot(t)
 	run := func() ([]Finding, []byte) {
-		findings, err := Run(Config{Dir: root, Patterns: []string{"./..."}})
+		findings, err := Run(Config{})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -61,15 +39,16 @@ func TestModuleSelfVet(t *testing.T) {
 	}
 }
 
-// TestHotpathsAnnotated guards the annotation policy: every zero-alloc
-// steady-state product function exercised by the benchmark suite must
-// carry //fairbench:hotpath, so the static gate stays armed for the
-// functions whose BENCH_baseline.json numbers claim zero allocations.
+// TestHotpathsAnnotated guards the annotation policy: every per-packet
+// or per-event product function exercised by the benchmark suite must
+// carry //fairbench:hotpath, so the static allocation gate stays armed
+// on them. The gate does not make them allocation-free: each allocation
+// it knowingly tolerates carries an explained hotalloc allow (sim.At's
+// per-event *event is one, measured as sim.allocs_per_event by fairperf).
 func TestHotpathsAnnotated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is not short")
 	}
-	root := moduleRoot(t)
 	want := map[string]bool{
 		"internal/sim.(*Sim).At":                  false,
 		"internal/sim.(*Sim).Run":                 false,
@@ -82,9 +61,11 @@ func TestHotpathsAnnotated(t *testing.T) {
 		"internal/measure.(*Ledger).Offer":        false,
 		"internal/measure.(*Ledger).Resolve":      false,
 	}
-	cfg := Config{Dir: root, Patterns: []string{"./..."}}
-	cfg.fillDefaults()
-	pkgs, fset, err := lint.Load(cfg.Dir, cfg.Patterns)
+	var cfg Config
+	if err := cfg.fillDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, fset, err := load(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

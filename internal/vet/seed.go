@@ -3,8 +3,6 @@ package vet
 import (
 	"go/ast"
 	"go/types"
-
-	"fairbench/internal/lint"
 )
 
 // seedProv enforces seed provenance: every RNG constructed anywhere in
@@ -30,7 +28,7 @@ func seedProv(g *graph, report reportFunc) {
 	// Package-level `var r = rand.New(rand.NewSource(42))` initializers
 	// run outside any function; check them with no parameter roots.
 	for _, pkg := range g.pkgs {
-		for _, f := range pkg.Files {
+		for _, f := range pkg.files {
 			for _, d := range f.Decls {
 				gd, ok := d.(*ast.GenDecl)
 				if !ok {
@@ -52,7 +50,7 @@ func seedProv(g *graph, report reportFunc) {
 }
 
 type seedPass struct {
-	pkg     *lint.Package
+	pkg     *loadedPkg
 	params  map[types.Object]bool
 	assigns map[types.Object][]ast.Expr
 }
@@ -60,7 +58,7 @@ type seedPass struct {
 // newSeedPass indexes the roots (params, receivers, results — of the
 // declaration and of every function literal inside it) and every local
 // assignment, so provOK can chase idents backward.
-func newSeedPass(pkg *lint.Package, root ast.Node) *seedPass {
+func newSeedPass(pkg *loadedPkg, root ast.Node) *seedPass {
 	sp := &seedPass{
 		pkg:     pkg,
 		params:  map[types.Object]bool{},
@@ -75,7 +73,7 @@ func newSeedPass(pkg *lint.Package, root ast.Node) *seedPass {
 		}
 		for _, f := range fl.List {
 			for _, name := range f.Names {
-				if obj := pkg.Info.Defs[name]; obj != nil {
+				if obj := pkg.info.Defs[name]; obj != nil {
 					sp.params[obj] = true
 				}
 			}
@@ -85,7 +83,7 @@ func newSeedPass(pkg *lint.Package, root ast.Node) *seedPass {
 		if id.Name == "_" {
 			return
 		}
-		if obj := identObj(pkg.Info, id); obj != nil {
+		if obj := identObj(pkg.info, id); obj != nil {
 			sp.assigns[obj] = append(sp.assigns[obj], rhs)
 		}
 	}
@@ -139,7 +137,7 @@ func (sp *seedPass) checkCalls(root ast.Node, report reportFunc) {
 		if !ok {
 			return true
 		}
-		callee := calleeFunc(sp.pkg.Info, call)
+		callee := calleeFunc(sp.pkg.info, call)
 		if callee == nil || !isSeedCtor(callee) {
 			return true
 		}
@@ -184,7 +182,7 @@ func isSeedCtor(fn *types.Func) bool {
 // visiting breaks assignment cycles (a var transitively assigned from
 // itself is accepted: some other root must have fed the cycle).
 func (sp *seedPass) provOK(e ast.Expr, visiting map[types.Object]bool) bool {
-	info := sp.pkg.Info
+	info := sp.pkg.info
 	switch e := e.(type) {
 	case *ast.BasicLit:
 		return false

@@ -1,4 +1,4 @@
-package lint
+package vet
 
 import (
 	"go/ast"
@@ -7,12 +7,12 @@ import (
 )
 
 // simconc forbids concurrency constructs inside the deterministic
-// event-loop packages (cfg.SimPackages): go statements, channel types and
+// event-loop packages (cfg.SimBoundary): go statements, channel types and
 // operations (send, receive, close, select), and any use of sync or
 // sync/atomic. Those packages replay seeded virtual-time schedules; a
 // single goroutine or channel would reintroduce scheduler nondeterminism.
 func simconc(p *pass) {
-	if !inDirs(p.rel, p.cfg.SimPackages) {
+	if !inDirs(p.rel, p.cfg.SimBoundary) {
 		return
 	}
 	const hint = "keep event-loop packages single-threaded; concurrency belongs in cmd/ drivers"

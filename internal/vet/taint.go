@@ -1,13 +1,6 @@
 package vet
 
-import (
-	"go/token"
-	"strings"
-)
-
-// reportFunc is how analyzers surface findings; vet.Run wires it to the
-// finding accumulator.
-type reportFunc func(pos token.Pos, rule, msg, hint string)
+import "strings"
 
 // unreached is the taint depth of a function with no path to a source.
 const unreached = 1 << 30
@@ -25,8 +18,8 @@ var taintKinds = []struct {
 
 // taintReach reports sim-boundary functions that can reach a
 // nondeterminism source through any call chain, including chains that
-// leave the boundary and come back — the wrapper loophole fairlint's
-// per-file rules cannot see. Only the frontier is reported: a boundary
+// leave the boundary and come back — the wrapper loophole the
+// per-package rules cannot see. Only the frontier is reported: a boundary
 // function is a finding when it holds the source itself or when a
 // tainted callee lies outside the boundary; a boundary caller of a
 // reported boundary function is not re-reported, so each chain yields

@@ -1,25 +1,32 @@
-// Corpus for fairvet's allow meta-rule: directives naming fairvet
-// rules must carry a reason and suppress something; rules unknown to
-// both tools are reported; fairlint's rules are fairlint's to police.
+// Corpus for the allow meta-rule: a suppression must name a known rule,
+// carry a reason, and actually suppress something. Each defective
+// directive is exactly one finding.
 package allowmetacase
 
-// Unknown to fairlint AND fairvet: both tools report it.
-//
+import "time"
+
 //fairlint:allow sparkle this rule exists nowhere
-func unknownToBoth() {}
+func unknownRule() {}
 
-// Fairvet rule without a reason.
-//
+// A directive with no reason still suppresses, but is itself a finding.
+var t = time.Now() //fairlint:allow wallclock
 //fairlint:allow hotalloc
-func missingReason() {}
+var count = 0 // the hotalloc directive above has no reason either
+//fairlint:allow rainbow this rule does not exist
+var _ = t
 
-// Fairvet rule with a reason that suppresses nothing.
-//
 //fairlint:allow seedprov corpus demo with nothing underneath
 func unused() {}
 
-// Fairlint rule: deferred by fairvet even though it is unused here
-// (fairlint reports it; fairvet must not).
+func unusedInBody() {
+	//fairlint:allow wallclock nothing on this line reads the clock
+}
+
+// A bare directive names no rule at all.
 //
-//fairlint:allow wallclock operator logging that never enters artifacts
-func lintRuleDeferred() {}
+//fairlint:allow
+func bare() {}
+
+func properlySuppressed() time.Time {
+	return time.Now() //fairlint:allow wallclock demo timestamp for docs output only
+}

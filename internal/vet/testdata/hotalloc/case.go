@@ -78,3 +78,16 @@ func (r *Ring) label(parts []string) string {
 // Cold is not annotated and not reached from any hot root: its make is
 // not a finding.
 func Cold() []int { return make([]int, 4) }
+
+// Fresh is a second annotated root: taking the address of a composite
+// literal and calling new both heap-allocate once the value escapes.
+//
+//fairbench:hotpath corpus constructor
+func Fresh(n int) (*Ring, *int) {
+	// Positive: &T{...} allocates.
+	r := &Ring{}
+	// Positive: new(T) allocates.
+	p := new(int)
+	*p = n
+	return r, p
+}

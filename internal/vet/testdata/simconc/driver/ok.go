@@ -1,5 +1,5 @@
-// Outside the event-loop package set, concurrency is not fairlint's
-// business: nothing in this file is flagged.
+// Outside the sim boundary, concurrency is not simconc's business:
+// nothing in this file is flagged.
 package driver
 
 func fanOut(work []func()) {

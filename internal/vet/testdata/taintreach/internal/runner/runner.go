@@ -1,5 +1,5 @@
 // The laundering package: it sits OUTSIDE the sim boundary (and inside
-// fairlint's wallclock allowlist), so per-file analysis sees nothing
+// the wallclock allowlist), so per-package analysis sees nothing
 // wrong with any function here. Each wrapper hands nondeterminism to
 // whoever calls it.
 package runner

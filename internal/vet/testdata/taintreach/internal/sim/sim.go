@@ -1,14 +1,14 @@
 // Corpus for the taintreach rule: this package dir mirrors the sim
 // boundary. Every function here that transitively reaches the wall
 // clock, the global RNG, or a goroutine spawn — even through the
-// wrappers in internal/runner, which fairlint cannot connect to this
+// wrappers in internal/runner, which per-package rules cannot tie to this
 // file — is a finding carrying the full call chain.
 package sim
 
 import "taintcorpus/internal/runner"
 
-// Stamp launders time.Now through runner.Now: fairlint's wallclock
-// rule is clean on both files, fairvet flags this one.
+// Stamp launders time.Now through runner.Now: the wallclock rule is
+// clean on both files, taintreach flags this one.
 func Stamp() float64 { return runner.Now() }
 
 // Jitter launders the global RNG the same way.

@@ -4,20 +4,23 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
-
-	"fairbench/internal/lint"
 )
 
-// goldenCases lists each rule's corpus with the config it runs under.
-// hotalloc pins HotpathScope to the corpus package itself so
-// propagation from the annotated root is exercised.
+// goldenCases lists every corpus with the config it runs under; each
+// runs under the full rule set. hotalloc pins HotpathScope to the
+// corpus package itself so propagation from the annotated root is
+// exercised.
 var goldenCases = []struct {
 	name string
 	cfg  Config
 }{
+	{"wallclock", Config{}},
+	{"globalrand", Config{}},
+	{"maporder", Config{}},
+	{"simconc", Config{}},
+	{"errtype", Config{}},
 	{"taintreach", Config{}},
 	{"seedprov", Config{}},
 	{"hotalloc", Config{HotpathScope: []string{"."}}},
@@ -25,24 +28,34 @@ var goldenCases = []struct {
 	{"allowmeta", Config{}},
 }
 
-// TestAnalyzerGoldens runs each rule's testdata corpus (positive,
-// negative, and suppressed cases) and asserts the exact findings —
-// positions, messages, and fix hints — against the expect.txt golden.
+// perPackageRules are the rules that look at one package at a time; the
+// loophole tests below prove they are blind to what the whole-program
+// rules catch.
+var perPackageRules = map[string]bool{
+	RuleWallclock: true, RuleGlobalRand: true, RuleMapOrder: true, RuleSimConc: true, RuleErrType: true,
+}
+
+func runCorpus(t *testing.T, name string, cfg Config) []Finding {
+	t.Helper()
+	cfg.Dir = filepath.Join("testdata", name)
+	findings, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run(%s): %v", name, err)
+	}
+	return findings
+}
+
+// TestAnalyzerGoldens runs each corpus (positive, negative, and
+// suppressed cases) and asserts the exact findings — positions,
+// messages, and fix hints — against its expect.txt golden.
 func TestAnalyzerGoldens(t *testing.T) {
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
-			dir := filepath.Join("testdata", c.name)
-			cfg := c.cfg
-			cfg.Dir = dir
-			findings, err := Run(cfg)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
 			var buf bytes.Buffer
-			if err := WriteText(&buf, findings); err != nil {
+			if err := WriteText(&buf, runCorpus(t, c.name, c.cfg)); err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join(dir, "expect.txt"))
+			want, err := os.ReadFile(filepath.Join("testdata", c.name, "expect.txt"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,17 +66,13 @@ func TestAnalyzerGoldens(t *testing.T) {
 	}
 }
 
-// TestGoldensCoverEveryRule guards the corpus itself: each analyzer
-// must have at least one positive case, so a rule silently going dead
-// fails here rather than in production.
+// TestGoldensCoverEveryRule guards the corpus itself: each rule must
+// have at least one positive case, so a rule silently going dead fails
+// here rather than in production.
 func TestGoldensCoverEveryRule(t *testing.T) {
 	seen := map[string]bool{}
-	dirs, err := os.ReadDir("testdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range dirs {
-		data, err := os.ReadFile(filepath.Join("testdata", d.Name(), "expect.txt"))
+	for _, c := range goldenCases {
+		data, err := os.ReadFile(filepath.Join("testdata", c.name, "expect.txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,59 +90,49 @@ func TestGoldensCoverEveryRule(t *testing.T) {
 	}
 }
 
-// TestWrapperLaunderingInvisibleToFairlint is the tentpole's reason to
-// exist, pinned as a test: on the taintreach corpus, fairlint reports
+// TestWrapperLaunderingInvisibleToFairlint pins why the whole-program
+// rules exist: on the taintreach corpus, the per-package rules report
 // NOTHING in the sim boundary package (the wall clock sits in
-// internal/runner, which its wallclock rule allowlists, and per-file
-// analysis cannot connect the wrapper to its boundary caller), while
-// fairvet reports every laundered source with a call chain.
+// internal/runner, which wallclock allowlists, and per-package analysis
+// cannot connect the wrapper to its boundary caller), while taintreach
+// reports every laundered source with a call chain.
 func TestWrapperLaunderingInvisibleToFairlint(t *testing.T) {
-	dir := filepath.Join("testdata", "taintreach")
-
-	lintFindings, err := lint.Run(lint.Config{Dir: dir})
-	if err != nil {
-		t.Fatalf("lint.Run: %v", err)
-	}
-	for _, f := range lintFindings {
-		if strings.HasPrefix(f.File, "internal/sim/") {
-			t.Errorf("fairlint unexpectedly sees the boundary violation (corpus no longer proves the loophole): %s", f)
-		}
-	}
-
-	vetFindings, err := Run(Config{Dir: dir})
-	if err != nil {
-		t.Fatalf("vet.Run: %v", err)
-	}
 	kinds := map[string]bool{}
-	for _, f := range vetFindings {
-		if f.Rule == RuleTaintReach && strings.HasPrefix(f.File, "internal/sim/") {
-			switch {
-			case strings.Contains(f.Msg, "wall clock"):
-				kinds["wallclock"] = true
-			case strings.Contains(f.Msg, "math/rand"):
-				kinds["globalrand"] = true
-			case strings.Contains(f.Msg, "goroutine"):
-				kinds["goroutine"] = true
-			}
-			if !strings.Contains(f.Hint, "call chain: ") {
-				t.Errorf("taintreach finding lacks a call chain: %s", f)
-			}
+	for _, f := range runCorpus(t, "taintreach", Config{}) {
+		if !strings.HasPrefix(f.File, "internal/sim/") {
+			continue
+		}
+		if perPackageRules[f.Rule] {
+			t.Errorf("per-package rule unexpectedly sees the boundary violation (corpus no longer proves the loophole): %s", f)
+		}
+		if f.Rule != RuleTaintReach {
+			continue
+		}
+		switch {
+		case strings.Contains(f.Msg, "wall clock"):
+			kinds["wallclock"] = true
+		case strings.Contains(f.Msg, "math/rand"):
+			kinds["globalrand"] = true
+		case strings.Contains(f.Msg, "goroutine"):
+			kinds["goroutine"] = true
+		}
+		if !strings.Contains(f.Hint, "call chain: ") {
+			t.Errorf("taintreach finding lacks a call chain: %s", f)
 		}
 	}
 	for _, k := range []string{"wallclock", "globalrand", "goroutine"} {
 		if !kinds[k] {
-			t.Errorf("fairvet missed the laundered %s source", k)
+			t.Errorf("taintreach missed the laundered %s source", k)
 		}
 	}
 }
 
 // TestFieldEscapeInvisibleToFairlint pins the second loophole: a map
 // range appending to a struct field (a selector, not a plain
-// identifier) escapes fairlint's maporder rule entirely, while fairvet
-// tracks it to the writer in another method.
+// identifier) escapes the per-package maporder rule entirely, while
+// orderflow tracks it to the writer in another method.
 func TestFieldEscapeInvisibleToFairlint(t *testing.T) {
-	dir := filepath.Join("testdata", "orderflow")
-	src, err := os.ReadFile(filepath.Join(dir, "case.go"))
+	src, err := os.ReadFile(filepath.Join("testdata", "orderflow", "case.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,46 +147,30 @@ func TestFieldEscapeInvisibleToFairlint(t *testing.T) {
 		t.Fatal("corpus lost its selector-append case")
 	}
 
-	lintFindings, err := lint.Run(lint.Config{Dir: dir})
-	if err != nil {
-		t.Fatalf("lint.Run: %v", err)
-	}
-	for _, f := range lintFindings {
-		if f.Line == appendLine || strings.Contains(f.Msg, "names") {
-			t.Errorf("fairlint unexpectedly sees the field escape (corpus no longer proves the loophole): %s", f)
-		}
-	}
-
-	vetFindings, err := Run(Config{Dir: dir})
-	if err != nil {
-		t.Fatalf("vet.Run: %v", err)
-	}
 	sawField := false
-	for _, f := range vetFindings {
+	for _, f := range runCorpus(t, "orderflow", Config{}) {
+		if perPackageRules[f.Rule] && (f.Line == appendLine || strings.Contains(f.Msg, "names")) {
+			t.Errorf("per-package rule unexpectedly sees the field escape (corpus no longer proves the loophole): %s", f)
+		}
 		if f.Rule == RuleOrderFlow && strings.Contains(f.Msg, "via field") {
 			sawField = true
 		}
 	}
 	if !sawField {
-		t.Error("fairvet missed the field-carried order escape")
+		t.Error("orderflow missed the field-carried order escape")
 	}
 }
 
-// TestSuppressedFindingsStaySuppressed pins the allow semantics for
-// fairvet's rules: every corpus contains a suppressed positive and none
-// may resurface, nor may the suppression itself be flagged.
+// TestSuppressedFindingsStaySuppressed pins the allow semantics: every
+// corpus but allowmeta may contain suppressed positives (same-line and
+// line-above allows), and none may resurface, nor may the suppression
+// itself be flagged.
 func TestSuppressedFindingsStaySuppressed(t *testing.T) {
 	for _, c := range goldenCases {
 		if c.name == "allowmeta" {
 			continue // its RuleAllow findings are the point
 		}
-		cfg := c.cfg
-		cfg.Dir = filepath.Join("testdata", c.name)
-		findings, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range findings {
+		for _, f := range runCorpus(t, c.name, c.cfg) {
 			if f.Rule == RuleAllow {
 				t.Errorf("%s corpus: allow machinery flagged a working suppression: %s", c.name, f)
 			}
@@ -195,20 +178,25 @@ func TestSuppressedFindingsStaySuppressed(t *testing.T) {
 	}
 }
 
-// TestForeignRulesStayInSync pins the cross-tool deference protocol:
-// the rule names fairlint defers to fairvet must be exactly the rules
-// fairvet owns, and the two rule sets must never collide.
-func TestForeignRulesStayInSync(t *testing.T) {
-	if got, want := lint.ForeignRules(), KnownRules(); !reflect.DeepEqual(got, want) {
-		t.Errorf("lint.ForeignRules() = %v, want fairvet's rules %v", got, want)
+func TestParseAllow(t *testing.T) {
+	cases := []struct {
+		text, rule, reason string
+		ok                 bool
+	}{
+		{"//fairlint:allow wallclock operator log only", "wallclock", "operator log only", true},
+		{"//fairlint:allow wallclock", "wallclock", "", true},
+		{"//fairlint:allow", "", "", true},
+		{"//fairlint:allow  maporder   spaced   out  ", "maporder", "spaced out", true},
+		{"//fairlint:allowwallclock smushed", "", "", false},
+		{"// fairlint:allow wallclock spaced directive is not a directive", "", "", false},
+		{"// ordinary comment", "", "", false},
+		{"//fairlint:deny wallclock", "", "", false},
 	}
-	mine := map[string]bool{}
-	for _, r := range KnownRules() {
-		mine[r] = true
-	}
-	for _, r := range lint.KnownRules() {
-		if mine[r] {
-			t.Errorf("rule name %q is claimed by both fairlint and fairvet", r)
+	for _, c := range cases {
+		rule, reason, ok := ParseAllow(c.text)
+		if rule != c.rule || reason != c.reason || ok != c.ok {
+			t.Errorf("ParseAllow(%q) = (%q, %q, %v), want (%q, %q, %v)",
+				c.text, rule, reason, ok, c.rule, c.reason, c.ok)
 		}
 	}
 }
@@ -232,5 +220,41 @@ func TestParseHotpath(t *testing.T) {
 		if note != c.note || ok != c.ok {
 			t.Errorf("ParseHotpath(%q) = (%q, %v), want (%q, %v)", c.text, note, ok, c.note, c.ok)
 		}
+	}
+}
+
+func TestMatchPattern(t *testing.T) {
+	cases := []struct {
+		rel, pat string
+		want     bool
+	}{
+		{".", "./...", true},
+		{"internal/sim", "./...", true},
+		{"internal/sim", "./internal/...", true},
+		{"internal/sim", "internal/...", true},
+		{"internal/sim", "./internal/sim", true},
+		{"internal/simulator", "./internal/sim", false},
+		{"internal/simulator", "./internal/sim/...", false},
+		{"internal/sim/sub", "./internal/sim/...", true},
+		{".", ".", true},
+		{"cmd/fairsim", ".", false},
+	}
+	for _, c := range cases {
+		if got := matchPattern(c.rel, c.pat); got != c.want {
+			t.Errorf("matchPattern(%q, %q) = %v, want %v", c.rel, c.pat, got, c.want)
+		}
+	}
+}
+
+// TestWriteJSONShape pins the empty-findings encoding: an empty array
+// (never null) with a trailing newline, so CI diffs and the
+// byte-identity guarantee are stable.
+func TestWriteJSONShape(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "[]\n" {
+		t.Errorf("WriteJSON(nil) = %q, want %q", got, "[]\n")
 	}
 }

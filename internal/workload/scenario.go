@@ -732,6 +732,7 @@ func (g *ScenarioGen) emit(ft packet.FiveTuple, size int, syn bool) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
+		//fairlint:allow hotalloc one template per distinct (proto, size, syn) on its first miss; steady state reuses it
 		tp = &scnTemplate{proto: ft.Proto, size: size, syn: syn, frame: frame, cur: ft}
 		//fairlint:allow hotalloc template cache miss path; steady state serves patched cached frames
 		g.templates = append(g.templates, tp)
