@@ -1,12 +1,11 @@
-// A fairvet-clean fixture: deterministic, sorted, sentinel-correct,
-// parameter-seeded randomness, no cross-function order leaks.
-package clean
+// A fixture clean under the per-package rules: deterministic, sorted,
+// sentinel-correct.
+package perpackage
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 )
 
@@ -27,10 +26,4 @@ func render(w io.Writer, m map[string]int) error {
 		}
 	}
 	return nil
-}
-
-// Draw samples from a caller-seeded generator.
-func Draw(seed int64, n int) int {
-	r := rand.New(rand.NewSource(seed))
-	return r.Intn(n)
 }

@@ -35,6 +35,25 @@ var perPackageRules = map[string]bool{
 	RuleWallclock: true, RuleGlobalRand: true, RuleMapOrder: true, RuleSimConc: true, RuleErrType: true,
 }
 
+// ruleFamilies name the groups the per-family subtests split on: the
+// five per-package rules, the four whole-program rules, and the allow
+// meta-rule that polices suppressions for both.
+var ruleFamilies = []string{"perpackage", "wholeprogram", "allow"}
+
+// ruleFamily returns rule's family, or "" for a name that is no rule
+// (such as the allowmeta corpus).
+func ruleFamily(rule string) string {
+	switch {
+	case rule == RuleAllow:
+		return "allow"
+	case perPackageRules[rule]:
+		return "perpackage"
+	case isKnownRule(rule):
+		return "wholeprogram"
+	}
+	return ""
+}
+
 func runCorpus(t *testing.T, name string, cfg Config) []Finding {
 	t.Helper()
 	cfg.Dir = filepath.Join("testdata", name)
@@ -83,10 +102,14 @@ func TestGoldensCoverEveryRule(t *testing.T) {
 			}
 		}
 	}
-	for _, rule := range append(KnownRules(), RuleAllow) {
-		if !seen[rule] {
-			t.Errorf("no golden case exercises rule %s", rule)
-		}
+	for _, family := range ruleFamilies {
+		t.Run(family, func(t *testing.T) {
+			for _, rule := range append(KnownRules(), RuleAllow) {
+				if ruleFamily(rule) == family && !seen[rule] {
+					t.Errorf("no golden case exercises rule %s", rule)
+				}
+			}
+		})
 	}
 }
 
@@ -162,19 +185,24 @@ func TestFieldEscapeInvisibleToFairlint(t *testing.T) {
 }
 
 // TestSuppressedFindingsStaySuppressed pins the allow semantics: every
-// corpus but allowmeta may contain suppressed positives (same-line and
+// rule's corpus may contain suppressed positives (same-line and
 // line-above allows), and none may resurface, nor may the suppression
-// itself be flagged.
+// itself be flagged. It runs one subtest per rule family; the allowmeta
+// corpus belongs to none, since its RuleAllow findings are the point.
 func TestSuppressedFindingsStaySuppressed(t *testing.T) {
-	for _, c := range goldenCases {
-		if c.name == "allowmeta" {
-			continue // its RuleAllow findings are the point
-		}
-		for _, f := range runCorpus(t, c.name, c.cfg) {
-			if f.Rule == RuleAllow {
-				t.Errorf("%s corpus: allow machinery flagged a working suppression: %s", c.name, f)
+	for _, family := range []string{"perpackage", "wholeprogram"} {
+		t.Run(family, func(t *testing.T) {
+			for _, c := range goldenCases {
+				if ruleFamily(c.name) != family {
+					continue
+				}
+				for _, f := range runCorpus(t, c.name, c.cfg) {
+					if f.Rule == RuleAllow {
+						t.Errorf("%s corpus: allow machinery flagged a working suppression: %s", c.name, f)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
