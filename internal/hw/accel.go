@@ -184,6 +184,7 @@ type FPGA struct {
 
 	nextFree sim.Time
 	busy     float64
+	done     completions
 	table    *nf.FlowTable
 	// Served, Overflowed and Unavailable count pipeline outcomes:
 	// served packets, ingress-buffer overflows, and packets arriving
@@ -212,9 +213,9 @@ func (f *FPGA) Config() FPGAConfig { return f.cfg }
 // Submit offers a packet to the pipeline. It returns false when the
 // pipeline is down or has more than a small ingress buffer of backlog
 // (the caller decides whether that means host failover or loss),
-// otherwise schedules done with the pipeline sojourn breakdown. A
-// derated pipeline serves at its reduced rate.
-func (f *FPGA) Submit(done func(Sojourn)) bool {
+// otherwise completes done (which may be nil) with the pipeline sojourn
+// breakdown. A derated pipeline serves at its reduced rate.
+func (f *FPGA) Submit(done Completer) bool {
 	if f.Down() {
 		f.Unavailable++
 		return false
@@ -233,27 +234,29 @@ func (f *FPGA) Submit(done func(Sojourn)) bool {
 	f.nextFree = finish
 	f.busy += service
 	f.Served++
-	sojourn := Sojourn{
+	f.done.push(pending{so: Sojourn{
 		WaitSeconds:    float64(start - now),
 		ServiceSeconds: service,
 		FixedSeconds:   f.cfg.PipelineLatencySeconds,
-	}
-	if err := f.s.At(finish, func() {
-		if done != nil {
-			done(sojourn)
-		}
-	}); err != nil {
+	}, c: done})
+	if err := f.s.Schedule(finish, f); err != nil {
 		panic(err)
 	}
 	return true
 }
+
+// Fire implements sim.Handler: the pipeline's oldest packet finishes.
+// Only the kernel calls it, once per served packet.
+//
+//fairbench:hotpath per-packet completion
+func (f *FPGA) Fire() { f.done.pop().complete() }
 
 // SubmitFlow offers a packet of a known five-tuple to the pipeline,
 // learning flows into the bounded on-chip table first. With no table
 // bound configured it is exactly Submit. Unknown flows that find the
 // table full are punted (returns false) — the overflow-to-slow-path
 // semantics, distinct from the ingress-buffer Overflowed outcome.
-func (f *FPGA) SubmitFlow(ft packet.FiveTuple, done func(Sojourn)) bool {
+func (f *FPGA) SubmitFlow(ft packet.FiveTuple, done Completer) bool {
 	if f.table != nil && !f.Down() {
 		if _, known := f.table.Get(ft); !known {
 			if _, _, _, ok := f.table.Put(ft, 1); !ok {

@@ -73,6 +73,7 @@ type Core struct {
 	nextFree sim.Time
 	queued   int
 	busy     float64 // accumulated busy seconds
+	done     completions
 	// Served and Dropped count packets.
 	Served, Dropped uint64
 }
@@ -102,11 +103,11 @@ func (c *Core) CapacityPps(cycles uint64) float64 {
 // Submit offers a packet costing cycles to the core at the current
 // simulated time. If the core is down or the queue is full the packet
 // is dropped and false is returned. Otherwise done (which may be nil)
-// is invoked when processing completes, with the packet's sojourn-time
+// is completed when processing finishes, with the packet's sojourn-time
 // breakdown. A derated (throttled) core stretches the service time by
 // the derating factor, so throttling shows up as longer busy time and
 // higher energy for the same work — the thermal-throttle behaviour.
-func (c *Core) Submit(cycles uint64, done func(Sojourn)) bool {
+func (c *Core) Submit(cycles uint64, done Completer) bool {
 	now := c.s.Now()
 	if c.Down() || c.queued >= c.cfg.QueueDepth {
 		c.Dropped++
@@ -121,23 +122,28 @@ func (c *Core) Submit(cycles uint64, done func(Sojourn)) bool {
 	c.nextFree = finish
 	c.queued++
 	c.busy += service
-	sojourn := Sojourn{
+	c.done.push(pending{so: Sojourn{
 		WaitSeconds:    float64(start - now),
 		ServiceSeconds: service,
 		FixedSeconds:   c.cfg.FixedLatencySeconds,
-	}
-	if err := c.s.At(finish, func() {
-		c.queued--
-		c.Served++
-		if done != nil {
-			done(sojourn)
-		}
-	}); err != nil {
+	}, c: done})
+	if err := c.s.Schedule(finish, c); err != nil {
 		// Scheduling can only fail for a past/invalid time, which the
 		// max() above prevents; treat as a bug.
 		panic(fmt.Sprintf("hw: core %s: %v", c.name, err))
 	}
 	return true
+}
+
+// Fire implements sim.Handler: the core's oldest queued packet
+// finishes. Only the kernel calls it, once per accepted packet.
+//
+//fairbench:hotpath per-packet completion
+func (c *Core) Fire() {
+	p := c.done.pop()
+	c.queued--
+	c.Served++
+	p.complete()
 }
 
 // QueueLen returns the number of packets queued or in service — the

@@ -61,6 +61,61 @@ func (s Sojourn) Total() float64 {
 	return s.WaitSeconds + s.ServiceSeconds + s.FixedSeconds
 }
 
+// Completer receives a packet's completion from a device: the device
+// calls Complete once, at the packet's finish time, with its sojourn
+// breakdown. Callers pass a long-lived or pooled record rather than a
+// fresh closure, so submitting a packet allocates nothing.
+type Completer interface {
+	Complete(Sojourn)
+}
+
+// pending is one accepted packet awaiting its completion event.
+type pending struct {
+	so Sojourn
+	c  Completer // may be nil
+}
+
+// completions is a device's FIFO of pending packets. A device's finish
+// times never decrease (finish = max(now, nextFree) + service, and
+// nextFree only grows), and the kernel runs equal-time events in
+// scheduling order, so the device's completion events fire in
+// submission order: the oldest entry is always the one due.
+type completions struct {
+	buf  []pending // ring; len is zero or a power of two
+	head int
+	n    int
+}
+
+// push appends p at the tail, doubling the ring when full.
+func (r *completions) push(p pending) {
+	if r.n == len(r.buf) {
+		//fairlint:allow hotalloc the ring doubles until it holds the device's deepest backlog (bounded by its queue), then is reused for the whole run
+		buf := make([]pending, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
+	r.n++
+}
+
+// pop removes and returns the oldest entry; the ring must be non-empty.
+func (r *completions) pop() pending {
+	p := r.buf[r.head]
+	r.buf[r.head] = pending{} // release the completer for the collector
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return p
+}
+
+// complete hands a popped entry to its completer, if any.
+func (p pending) complete() {
+	if p.c != nil {
+		p.c.Complete(p.so)
+	}
+}
+
 // AveragePowerWatts computes mean power of a device over [0, end).
 func AveragePowerWatts(d Device, end sim.Time) float64 {
 	if end <= 0 {

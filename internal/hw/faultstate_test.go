@@ -46,7 +46,7 @@ func TestCoreBrownoutStretchesService(t *testing.T) {
 		c := NewCore("c0", s, CPUConfig{})
 		c.SetDerate(derate)
 		var total float64
-		c.Submit(30000, func(so Sojourn) { total = so.ServiceSeconds })
+		c.Submit(30000, completeFunc(func(so Sojourn) { total = so.ServiceSeconds }))
 		s.Run(1)
 		return total
 	}

@@ -11,6 +11,11 @@ import (
 	"fairbench/internal/sim"
 )
 
+// completeFunc adapts a test closure to Completer.
+type completeFunc func(Sojourn)
+
+func (f completeFunc) Complete(so Sojourn) { f(so) }
+
 func flow(i int) packet.FiveTuple {
 	return packet.FiveTuple{
 		Src: packet.Addr4From(uint32(0x0a000000 + i)), Dst: packet.Addr4{10, 0, 0, 1},
@@ -38,7 +43,7 @@ func TestCoreFIFOQueueing(t *testing.T) {
 	// second waits for the first.
 	submit := func() {
 		for i := 0; i < 2; i++ {
-			if !c.Submit(400, func(so Sojourn) { sojourns = append(sojourns, so) }) {
+			if !c.Submit(400, completeFunc(func(so Sojourn) { sojourns = append(sojourns, so) })) {
 				t.Error("submit rejected")
 			}
 		}
@@ -182,12 +187,12 @@ func TestSmartNICOffloadPath(t *testing.T) {
 	}
 	done := false
 	_ = s.At(0, func() {
-		if !sn.Offload(ft, func(so Sojourn) {
+		if !sn.Offload(ft, completeFunc(func(so Sojourn) {
 			done = true
 			if so.Total() < 1e-6 {
 				t.Errorf("fast-path latency = %v, want >= service+fixed", so.Total())
 			}
-		}) {
+		})) {
 			t.Error("installed flow should offload")
 		}
 	})
@@ -283,7 +288,7 @@ func TestFPGASubmitAndOverflow(t *testing.T) {
 	overflow := 0
 	_ = s.At(0, func() {
 		for i := 0; i < 300; i++ {
-			if f.Submit(func(Sojourn) { served++ }) {
+			if f.Submit(completeFunc(func(Sojourn) { served++ })) {
 				continue
 			}
 			overflow++

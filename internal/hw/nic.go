@@ -110,6 +110,7 @@ type SmartNIC struct {
 	table    *nf.FlowTable
 	nextFree sim.Time
 	busy     float64
+	done     completions
 	// Offloaded, ToHost and TableMisses count dispatch outcomes.
 	Offloaded, ToHost uint64
 	// Saturated counts fast-path packets that found the NIC dataplane
@@ -165,11 +166,11 @@ func (sn *SmartNIC) Install(ft packet.FiveTuple) bool {
 func (sn *SmartNIC) ResetTable() { sn.table.Reset() }
 
 // Offload attempts to handle a packet on the NIC fast path. It returns
-// true (and invokes done with the fast-path sojourn breakdown) when the
-// flow is in the table and the dataplane has headroom; false punts the
-// packet to the host — which is also what an outage or table miss does,
+// true (and completes done, which may be nil, with the fast-path
+// sojourn breakdown) when the flow is in the table and the dataplane
+// has headroom; false punts the packet to the host — which is also what an outage or table miss does,
 // giving offload deployments their graceful-degradation path.
-func (sn *SmartNIC) Offload(ft packet.FiveTuple, done func(Sojourn)) bool {
+func (sn *SmartNIC) Offload(ft packet.FiveTuple, done Completer) bool {
 	if sn.Down() {
 		sn.ToHost++
 		return false
@@ -197,20 +198,22 @@ func (sn *SmartNIC) Offload(ft packet.FiveTuple, done func(Sojourn)) bool {
 	sn.nextFree = finish
 	sn.busy += service
 	sn.Offloaded++
-	sojourn := Sojourn{
+	sn.done.push(pending{so: Sojourn{
 		WaitSeconds:    float64(start - now),
 		ServiceSeconds: service,
 		FixedSeconds:   sn.cfg.OffloadLatencySeconds,
-	}
-	if err := sn.s.At(finish, func() {
-		if done != nil {
-			done(sojourn)
-		}
-	}); err != nil {
+	}, c: done})
+	if err := sn.s.Schedule(finish, sn); err != nil {
 		panic(err)
 	}
 	return true
 }
+
+// Fire implements sim.Handler: the fast path's oldest packet finishes.
+// Only the kernel calls it, once per offloaded packet.
+//
+//fairbench:hotpath per-packet completion
+func (sn *SmartNIC) Fire() { sn.done.pop().complete() }
 
 // BusySeconds returns the dataplane's cumulative busy time (sampler
 // utilization probe).

@@ -111,14 +111,23 @@ func (a *AhoCorasick) Search(data []byte, fn func(pattern int, end int) bool) {
 	}
 }
 
+// First returns the first pattern Search would report for data: the
+// match with the smallest end offset.
+func (a *AhoCorasick) First(data []byte) (pattern int, ok bool) {
+	state := int32(0)
+	for _, b := range data {
+		state = a.nodes[state].next[b]
+		if out := a.nodes[state].outputs; len(out) > 0 {
+			return int(out[0]), true
+		}
+	}
+	return 0, false
+}
+
 // Contains reports whether any pattern occurs in data.
 func (a *AhoCorasick) Contains(data []byte) bool {
-	found := false
-	a.Search(data, func(int, int) bool {
-		found = true
-		return false
-	})
-	return found
+	_, ok := a.First(data)
+	return ok
 }
 
 // DPI is an intrusion-detection network function: packets whose payload
@@ -152,11 +161,10 @@ func (d *DPI) Process(p *packet.Parser, _ []byte) (Result, error) {
 	d.Inspected += uint64(len(payload))
 	cycles := uint64(CyclesParse) + uint64(len(payload))*CyclesPerPayloadByte
 	verdict := Accept
-	d.ac.Search(payload, func(pattern, _ int) bool {
+	if pattern, ok := d.ac.First(payload); ok {
 		d.Alerts[pattern]++
 		verdict = Drop
-		return false
-	})
+	}
 	return Result{Verdict: verdict, Cycles: cycles}, nil
 }
 

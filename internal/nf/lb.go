@@ -1,8 +1,10 @@
 package nf
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fairbench/internal/packet"
@@ -140,7 +142,7 @@ func (lb *LoadBalancer) Pick(ft packet.FiveTuple) (Backend, error) {
 	}
 	h := ft.FastHash()
 	// First ring entry with hash >= h, wrapping.
-	i := sort.Search(len(lb.ring), func(i int) bool { return lb.ring[i].hash >= h })
+	i, _ := slices.BinarySearchFunc(lb.ring, h, func(e ringEntry, h uint64) int { return cmp.Compare(e.hash, h) })
 	if i == len(lb.ring) {
 		i = 0
 	}

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -32,34 +31,32 @@ func (t Time) Duration() time.Duration {
 // Seconds returns the time as a float64 second count.
 func (t Time) Seconds() float64 { return float64(t) }
 
-// Event is a scheduled callback.
+// Handler is a scheduled event's action: the kernel calls Fire once,
+// at the event's time. Per-packet code schedules a long-lived handler
+// (a device, a run's arrival process) instead of a fresh closure, so
+// scheduling allocates nothing.
+type Handler interface{ Fire() }
+
+// handlerFunc adapts a plain callback to Handler. A func value is
+// pointer-shaped, so storing one in the interface does not allocate.
+type handlerFunc func()
+
+func (f handlerFunc) Fire() { f() }
+
+// event is one scheduled handler.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	h   Handler
 }
 
-// eventQueue is a binary min-heap ordered by (time, sequence).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders events by (time, sequence); sequence numbers are
+// unique, so the order is total and pops are fully deterministic.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-//fairlint:allow hotalloc event queue reaches steady-state capacity; heap growth is amortized across the run
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // TraceFunc observes kernel progress: it receives the virtual clock,
@@ -72,7 +69,7 @@ type TraceFunc func(now Time, processed uint64, pending int)
 // simulation is a single logical timeline.
 type Sim struct {
 	now        Time
-	queue      eventQueue
+	queue      []event // binary min-heap by value, ordered by before
 	seq        uint64
 	events     uint64
 	halted     bool
@@ -95,23 +92,27 @@ func (s *Sim) Pending() int { return len(s.queue) }
 // ErrPastEvent is returned when scheduling before the current time.
 var ErrPastEvent = errors.New("sim: cannot schedule event in the past")
 
-// At schedules fn to run at absolute simulated time t. Events at equal
-// times run in scheduling order.
+// Schedule arranges for h.Fire to run at absolute simulated time t.
+// Events at equal times run in scheduling order.
 //
 //fairbench:hotpath fairbench case sim-event-throughput
-func (s *Sim) At(t Time, fn func()) error {
+func (s *Sim) Schedule(t Time, h Handler) error {
 	if t < s.now {
 		return fmt.Errorf("%w: now=%v, requested=%v", ErrPastEvent, s.now, t)
 	}
 	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
 		return fmt.Errorf("sim: invalid event time %v", t)
 	}
-	//fairlint:allow hotalloc one *event per At (fairperf sim.allocs_per_event = 1.0); ROADMAP item 2's value-typed event heap removes it
-	e := &event{at: t, seq: s.seq, fn: fn}
+	s.push(event{at: t, seq: s.seq, h: h})
 	s.seq++
-	heap.Push(&s.queue, e)
 	return nil
 }
+
+// At schedules fn to run at absolute simulated time t. Events at equal
+// times run in scheduling order.
+//
+//fairbench:hotpath fairbench case sim-event-throughput
+func (s *Sim) At(t Time, fn func()) error { return s.Schedule(t, handlerFunc(fn)) }
 
 // After schedules fn to run delta seconds from now.
 func (s *Sim) After(delta float64, fn func()) error {
@@ -137,6 +138,54 @@ func (s *Sim) traceTick() {
 	}
 }
 
+// push adds e to the heap, sifting it up from the last slot.
+func (s *Sim) push(e event) {
+	//fairlint:allow hotalloc event queue reaches steady-state capacity; heap growth is amortized across the run
+	q := append(s.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	s.queue = q
+}
+
+// pop removes and returns the earliest event: the last slot moves to
+// the root and sifts down.
+func (s *Sim) pop() event {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // release the handler for the collector
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	s.queue = q
+	return top
+}
+
 // Halt stops the run loop after the current event completes. Pending
 // events remain queued; a subsequent Run resumes.
 func (s *Sim) Halt() { s.halted = true }
@@ -150,14 +199,13 @@ func (s *Sim) Halt() { s.halted = true }
 func (s *Sim) Run(horizon Time) {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted {
-		next := s.queue[0]
-		if next.at > horizon {
+		if s.queue[0].at > horizon {
 			break
 		}
-		heap.Pop(&s.queue)
+		next := s.pop()
 		s.now = next.at
 		s.events++
-		next.fn()
+		next.h.Fire()
 		s.traceTick()
 	}
 	if s.now < horizon && !s.halted {
@@ -173,10 +221,10 @@ func (s *Sim) Run(horizon Time) {
 func (s *Sim) RunAll() {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted {
-		next := heap.Pop(&s.queue).(*event)
+		next := s.pop()
 		s.now = next.at
 		s.events++
-		next.fn()
+		next.h.Fire()
 		s.traceTick()
 	}
 }

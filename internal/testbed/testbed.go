@@ -155,6 +155,9 @@ type Deployment struct {
 	led  *measure.Ledger
 	lat  *measure.LatencyMeter
 	fair *measure.FairnessMeter
+
+	// free recycles in-flight records (see acquire).
+	free []*flight
 }
 
 // New assembles a deployment.
@@ -442,37 +445,67 @@ func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationS
 			return Result{}, err
 		}
 	}
-	rate := func() float64 { return offeredPps }
-	if hooks != nil && hooks.rateFactor != nil {
-		rate = func() float64 { return offeredPps * hooks.rateFactor() }
+	a := &arrivals{d: d, arrival: arrival, rng: arrRng, pps: offeredPps, horizon: horizon, inject: inject}
+	if hooks != nil {
+		a.factor = hooks.rateFactor
 	}
-
-	var injErr error
-	var schedule func(at sim.Time)
-	schedule = func(at sim.Time) {
-		if at > horizon {
-			return
-		}
-		if err := d.s.At(at, func() {
-			if err := inject(); err != nil && injErr == nil {
-				injErr = err
-				d.s.Halt()
-				return
-			}
-			schedule(at + sim.Time(arrival.NextGap(arrRng, rate())))
-		}); err != nil && injErr == nil {
-			injErr = err
-		}
-	}
-	schedule(sim.Time(arrival.NextGap(arrRng, rate())))
+	a.schedule(sim.Time(arrival.NextGap(arrRng, a.rate())))
 
 	// Run past the horizon so in-flight packets drain (bounded by the
 	// largest plausible queueing delay).
 	d.s.Run(horizon + 1)
-	if injErr != nil {
-		return Result{}, injErr
+	if a.err != nil {
+		return Result{}, a.err
 	}
 	return d.collect(horizon)
+}
+
+// arrivals is a run's arrival process: one handler that injects a
+// packet and reschedules itself one interarrival gap later, until the
+// horizon.
+type arrivals struct {
+	d       *Deployment
+	arrival workload.Arrival
+	rng     *sim.RNG
+	pps     float64
+	factor  func() float64 // rate scale (runHooks.rateFactor); nil means 1
+	horizon sim.Time
+	inject  injector
+
+	at  sim.Time // time of the pending arrival
+	err error    // first injection or scheduling error
+}
+
+// rate returns the offered rate at the current arrival.
+func (a *arrivals) rate() float64 {
+	if a.factor == nil {
+		return a.pps
+	}
+	return a.pps * a.factor()
+}
+
+// schedule arms the next arrival at at, unless it lies past the horizon.
+func (a *arrivals) schedule(at sim.Time) {
+	if at > a.horizon {
+		return
+	}
+	a.at = at
+	if err := a.d.s.Schedule(at, a); err != nil && a.err == nil {
+		a.err = err
+	}
+}
+
+// Fire implements sim.Handler: inject one packet, then schedule the
+// next arrival. An injection error halts the run.
+//
+//fairbench:hotpath per-packet arrival
+func (a *arrivals) Fire() {
+	if err := a.inject(); err != nil && a.err == nil {
+		a.err = err
+		a.d.s.Halt()
+		return
+	}
+	a.schedule(a.at + sim.Time(a.arrival.NextGap(a.rng, a.rate())))
 }
 
 // inFlight counts the packets still queued in a device.
@@ -534,6 +567,8 @@ func (d *Deployment) collect(end sim.Time) (Result, error) {
 // admit offers one packet to the run ledger at the current simulated
 // time, then dispatches it — or, when the ingress link dropped it,
 // settles it as lost before any device sees it.
+//
+//fairbench:hotpath per-packet admission
 func (d *Deployment) admit(pk workload.Pkt, linkDropped bool) {
 	t := d.led.Offer(string(pk.Class), d.s.Now().Seconds(), len(pk.Frame))
 	if linkDropped {
@@ -565,6 +600,8 @@ func outcome(v nf.Verdict) measure.Outcome {
 // still holds the full rule set), and FPGA overflow or outage spills to
 // the host cores when there are any — traffic is only lost when no
 // component can take it.
+//
+//fairbench:hotpath per-packet dispatch
 func (d *Deployment) dispatch(pk workload.Pkt, t measure.Ticket) {
 	flow := pk.Flow
 	extraLatency := 0.0
@@ -588,15 +625,9 @@ func (d *Deployment) dispatch(pk workload.Pkt, t measure.Ticket) {
 	// Stage 2: FPGA full offload; overflow, flow-table punts and outage
 	// fail over to the host slow path when cores exist.
 	if d.fpga != nil {
-		o := outcome(d.functionalVerdict(pk))
-		if !d.fpga.SubmitFlow(flow, func(so hw.Sojourn) {
-			if o == measure.Forwarded {
-				d.fair.Record(flow, t.Bytes())
-			}
-			_ = d.lat.RecordSeconds(so.Total() + extraLatency)
-			spanSojourn(sp, so)
-			d.resolve(t, o, sp, d.fpga.Name())
-		}) {
+		f := d.acquire(t, outcome(d.functionalVerdict(pk)), flow, extraLatency, sp, d.fpga.Name())
+		if !d.fpga.SubmitFlow(flow, f) {
+			d.release(f)
 			if len(d.cores) > 0 {
 				d.hostPath(pk, t, extraLatency, sp)
 				return
@@ -609,14 +640,11 @@ func (d *Deployment) dispatch(pk workload.Pkt, t measure.Ticket) {
 	// Stage 3: SmartNIC fast path for established flows. Saturation,
 	// table misses and outages all punt to the host slow path.
 	if d.smartnic != nil && !d.offSmartNIC {
-		if d.smartnic.Offload(flow, func(so hw.Sojourn) {
-			d.fair.Record(flow, t.Bytes())
-			_ = d.lat.RecordSeconds(so.Total() + extraLatency)
-			spanSojourn(sp, so)
-			d.resolve(t, measure.Forwarded, sp, d.smartnic.Name())
-		}) {
+		f := d.acquire(t, measure.Forwarded, flow, extraLatency, sp, d.smartnic.Name())
+		if d.smartnic.Offload(flow, f) {
 			return
 		}
+		d.release(f)
 	}
 
 	// Stage 4: host slow path.
@@ -625,6 +653,8 @@ func (d *Deployment) dispatch(pk workload.Pkt, t measure.Ticket) {
 
 // hostPath runs the NF on the packet's RSS core. Callers ensure the
 // deployment has cores.
+//
+//fairbench:hotpath per-packet host slow path
 func (d *Deployment) hostPath(pk workload.Pkt, t measure.Ticket, extraLatency float64, sp *obs.Span) {
 	coreID := hw.RSS(pk.Flow, len(d.cores))
 	core := d.cores[coreID]
@@ -638,22 +668,71 @@ func (d *Deployment) hostPath(pk workload.Pkt, t measure.Ticket, extraLatency fl
 		d.resolve(t, measure.Lost, sp, core.Name())
 		return
 	}
-	flow := pk.Flow
-	o := outcome(res.Verdict)
-	if !core.Submit(res.Cycles, func(so hw.Sojourn) {
-		if o == measure.Forwarded {
-			d.fair.Record(flow, t.Bytes())
-		}
-		_ = d.lat.RecordSeconds(so.Total() + extraLatency)
-		spanSojourn(sp, so)
-		d.resolve(t, o, sp, core.Name())
-		// Install the offload entry once the host has vetted the flow.
-		if d.smartnic != nil && !d.offSmartNIC && o == measure.Forwarded {
-			d.smartnic.Install(flow)
-		}
-	}) {
+	f := d.acquire(t, outcome(res.Verdict), pk.Flow, extraLatency, sp, core.Name())
+	// Install the offload entry once the host has vetted the flow.
+	f.install = d.smartnic != nil && !d.offSmartNIC && f.o == measure.Forwarded
+	if !core.Submit(res.Cycles, f) {
+		d.release(f)
 		d.resolve(t, measure.Lost, sp, core.Name())
 	}
+}
+
+// flight is one packet in a device: everything its completion needs,
+// held in a record the deployment recycles instead of a closure
+// allocated per packet.
+type flight struct {
+	d     *Deployment
+	t     measure.Ticket
+	o     measure.Outcome
+	flow  packet.FiveTuple
+	extra float64 // latency accrued before the device (switch stage)
+	sp    *obs.Span
+	dev   string
+	// install adds the flow to the SmartNIC's offload table on
+	// completion (a host-vetted, forwarded packet).
+	install bool
+}
+
+// acquire takes an in-flight record from the pool and fills it.
+//
+//fairbench:hotpath per-packet in-flight record
+func (d *Deployment) acquire(t measure.Ticket, o measure.Outcome, flow packet.FiveTuple, extra float64, sp *obs.Span, dev string) *flight {
+	var f *flight
+	if n := len(d.free); n > 0 {
+		f = d.free[n-1]
+		d.free = d.free[:n-1]
+	} else {
+		//fairlint:allow hotalloc the pool grows to the deepest in-flight population (bounded by device queues), then recycles records for the whole run
+		f = new(flight)
+	}
+	*f = flight{d: d, t: t, o: o, flow: flow, extra: extra, sp: sp, dev: dev}
+	return f
+}
+
+// release returns an in-flight record to the pool.
+//
+//fairbench:hotpath per-packet in-flight record
+func (d *Deployment) release(f *flight) {
+	//fairlint:allow hotalloc the free list holds at most the records the pool ever made; it grows only with the pool
+	d.free = append(d.free, f)
+}
+
+// Complete implements hw.Completer: it settles the packet when its
+// device finishes it, then recycles the record.
+//
+//fairbench:hotpath per-packet completion
+func (f *flight) Complete(so hw.Sojourn) {
+	d := f.d
+	if f.o == measure.Forwarded {
+		d.fair.Record(f.flow, f.t.Bytes())
+	}
+	_ = d.lat.RecordSeconds(so.Total() + f.extra)
+	spanSojourn(f.sp, so)
+	d.resolve(f.t, f.o, f.sp, f.dev)
+	if f.install {
+		d.smartnic.Install(f.flow)
+	}
+	d.release(f)
 }
 
 // functionalVerdict evaluates the NF logic for the FPGA path (the
