@@ -258,13 +258,11 @@ func (f *FPGA) Fire() { f.done.pop().complete() }
 // semantics, distinct from the ingress-buffer Overflowed outcome.
 func (f *FPGA) SubmitFlow(ft packet.FiveTuple, done Completer) bool {
 	if f.table != nil && !f.Down() {
-		if _, known := f.table.Get(ft); !known {
+		if _, known := f.table.Use(ft); !known {
 			if _, _, _, ok := f.table.Put(ft, 1); !ok {
 				f.TablePunts++
 				return false
 			}
-		} else {
-			f.table.Touch(ft)
 		}
 	}
 	return f.Submit(done)

@@ -175,13 +175,12 @@ func (sn *SmartNIC) Offload(ft packet.FiveTuple, done Completer) bool {
 		sn.ToHost++
 		return false
 	}
-	if _, hit := sn.table.Get(ft); !hit {
+	// Keep recency truthful for LRU-managed tables: a fast-path hit is
+	// a use.
+	if _, hit := sn.table.Use(ft); !hit {
 		sn.ToHost++
 		return false
 	}
-	// Keep recency truthful for LRU-managed tables: a fast-path hit is
-	// a use.
-	sn.table.Touch(ft)
 	now := sn.s.Now()
 	service := 1 / sn.cfg.CapacityPps * sn.slowdown()
 	start := sn.nextFree

@@ -181,13 +181,19 @@ func (c *Conntrack) Process(p *packet.Parser, _ []byte) (Result, error) {
 		return Result{Verdict: Drop, Cycles: CyclesParse}, nil
 	}
 
-	// Fast path: known flow in either direction.
-	if state, known := c.State(ft); known {
+	// Fast path: known flow in either direction. Put runs only after
+	// both directions miss, so a connection is stored under exactly one
+	// key, and using the direction that hit refreshes its recency.
+	key := ft
+	v, known := c.table.Use(key)
+	if !known {
+		key = ft.Reverse()
+		v, known = c.table.Use(key)
+	}
+	if known {
 		res := Result{Verdict: Accept, Cycles: CyclesParse + CyclesConntrackHit}
-		c.table.Touch(ft)
-		c.table.Touch(ft.Reverse())
 		if ft.Proto == packet.ProtoTCP {
-			c.advance(ft, state, p.TCP.Flags)
+			c.advance(key, ConnState(v), p.TCP.Flags)
 		}
 		c.FastPath++
 		return res, nil
@@ -255,13 +261,9 @@ func (c *Conntrack) Process(p *packet.Parser, _ []byte) (Result, error) {
 	return res, nil
 }
 
-// advance moves a TCP connection through its lifecycle and removes
-// finished connections from the table.
-func (c *Conntrack) advance(ft packet.FiveTuple, state ConnState, flags packet.TCPFlags) {
-	key := ft
-	if _, ok := c.table.Get(key); !ok {
-		key = ft.Reverse()
-	}
+// advance moves a TCP connection, stored under key, through its
+// lifecycle and removes finished connections from the table.
+func (c *Conntrack) advance(key packet.FiveTuple, state ConnState, flags packet.TCPFlags) {
 	switch {
 	case flags.Has(packet.FlagRST):
 		c.table.Delete(key)

@@ -102,6 +102,56 @@ func TestConntrackRSTTearsDown(t *testing.T) {
 	}
 }
 
+// TestConntrackReverseTrafficRefreshesRecency keeps one connection
+// alive only with reverse-direction packets while fresh SYNs push an
+// LRU-managed table past capacity: the reverse packets must refresh the
+// entry stored under the forward key, so it is never the victim.
+func TestConntrackReverseTrafficRefreshesRecency(t *testing.T) {
+	c := NewConntrackWith("ct", NewLinearMatcher(ctRules), ConntrackConfig{MaxEntries: 3, Policy: EvictLRU})
+	kept := ctFlow(41000)
+	sendTCP(t, c, kept, packet.FlagSYN)
+	for i := uint16(0); i < 20; i++ {
+		if res := sendTCP(t, c, kept.Reverse(), packet.FlagACK); res.Verdict != Accept {
+			t.Fatalf("round %d: reverse ACK verdict = %v", i, res.Verdict)
+		}
+		sendTCP(t, c, ctFlow(42000+i), packet.FlagSYN)
+		if _, ok := c.table.Get(kept); !ok {
+			t.Fatalf("round %d: the reverse-refreshed connection was evicted", i)
+		}
+	}
+	if c.Evicted() == 0 {
+		t.Fatal("the table never came under pressure")
+	}
+}
+
+// TestConntrackReverseTeardown checks that FIN and RST from the
+// responder advance or remove the entry stored under the initiator's
+// key.
+func TestConntrackReverseTeardown(t *testing.T) {
+	c := NewConntrack("ct", NewLinearMatcher(ctRules), 0)
+	ft := ctFlow(41001)
+	sendTCP(t, c, ft, packet.FlagSYN)
+	sendTCP(t, c, ft.Reverse(), packet.FlagSYN|packet.FlagACK)
+	sendTCP(t, c, ft.Reverse(), packet.FlagFIN|packet.FlagACK)
+	if v, ok := c.table.Get(ft); !ok || ConnState(v) != StateClosing {
+		t.Fatalf("forward entry after reverse FIN = %v, %v; want closing", ConnState(v), ok)
+	}
+	if _, ok := c.table.Get(ft.Reverse()); ok {
+		t.Fatal("a reverse FIN must not store the reverse key")
+	}
+	sendTCP(t, c, ft, packet.FlagFIN|packet.FlagACK)
+	if c.Entries() != 0 {
+		t.Fatalf("entries after both FINs = %d", c.Entries())
+	}
+
+	rst := ctFlow(41002)
+	sendTCP(t, c, rst, packet.FlagSYN)
+	sendTCP(t, c, rst.Reverse(), packet.FlagRST)
+	if _, ok := c.State(rst); ok || c.Entries() != 0 {
+		t.Fatalf("reverse RST left the connection (entries %d)", c.Entries())
+	}
+}
+
 func TestConntrackRejectsStrayMidConnection(t *testing.T) {
 	// A bare ACK with no tracked state is dropped even though the rule
 	// set would accept the 5-tuple — the stateful fail-closed posture.

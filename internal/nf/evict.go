@@ -123,11 +123,16 @@ func (t *FlowTable) Get(ft packet.FiveTuple) (uint32, bool) {
 	return t.entries[slot].val, true
 }
 
-// Touch marks ft as most recently used (no-op if absent).
-func (t *FlowTable) Touch(ft packet.FiveTuple) {
-	if slot, ok := t.idx[ft]; ok {
-		t.moveToFront(slot)
+// Use looks ft up and, on a hit, marks it most recently used: one
+// probe for what a lookup followed by a recency update would take two.
+// A miss changes nothing.
+func (t *FlowTable) Use(ft packet.FiveTuple) (uint32, bool) {
+	slot, ok := t.idx[ft]
+	if !ok {
+		return 0, false
 	}
+	t.moveToFront(slot)
+	return t.entries[slot].val, true
 }
 
 // Set updates the value of an existing entry (no recency change) and

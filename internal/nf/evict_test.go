@@ -2,9 +2,11 @@ package nf
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"fairbench/internal/packet"
+	"fairbench/internal/sim"
 )
 
 func evFlow(i int) packet.FiveTuple {
@@ -54,8 +56,10 @@ func TestFlowTableLRUEvictsColdest(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ft.Put(evFlow(i), uint32(i))
 	}
-	// Touch 0 so 1 becomes the coldest.
-	ft.Touch(evFlow(0))
+	// Use 0 so 1 becomes the coldest.
+	if v, ok := ft.Use(evFlow(0)); !ok || v != 0 {
+		t.Fatalf("Use = %d, %v", v, ok)
+	}
 	victim, val, evicted, ok := ft.Put(evFlow(3), 3)
 	if !ok || !evicted {
 		t.Fatalf("evicting insert: evicted=%v ok=%v", evicted, ok)
@@ -64,10 +68,148 @@ func TestFlowTableLRUEvictsColdest(t *testing.T) {
 		t.Fatalf("victim = %v (val %d), want flow 1", victim, val)
 	}
 	if _, ok := ft.Get(evFlow(0)); !ok {
-		t.Error("touched entry evicted")
+		t.Error("used entry evicted")
 	}
 	if ft.Evictions != 1 {
 		t.Errorf("Evictions = %d", ft.Evictions)
+	}
+}
+
+// refLRU is the reference model for an EvictLRU FlowTable: a slice of
+// entries, most recently used first.
+type refLRU struct {
+	capacity int
+	order    []ftEntry // only ft and val are used
+}
+
+func (r *refLRU) find(ft packet.FiveTuple) int {
+	return slices.IndexFunc(r.order, func(e ftEntry) bool { return e.ft == ft })
+}
+
+func (r *refLRU) toFront(i int) {
+	e := r.order[i]
+	r.order = slices.Insert(slices.Delete(r.order, i, i+1), 0, e)
+}
+
+func (r *refLRU) put(ft packet.FiveTuple, v uint32) (victim packet.FiveTuple, victimVal uint32, evicted bool) {
+	if i := r.find(ft); i >= 0 {
+		r.order[i].val = v
+		r.toFront(i)
+		return victim, 0, false
+	}
+	if len(r.order) >= r.capacity {
+		last := r.order[len(r.order)-1]
+		r.order = r.order[:len(r.order)-1]
+		victim, victimVal, evicted = last.ft, last.val, true
+	}
+	r.order = slices.Insert(r.order, 0, ftEntry{ft: ft, val: v})
+	return victim, victimVal, evicted
+}
+
+func (r *refLRU) use(ft packet.FiveTuple) (uint32, bool) {
+	i := r.find(ft)
+	if i < 0 {
+		return 0, false
+	}
+	r.toFront(i)
+	return r.order[0].val, true
+}
+
+func (r *refLRU) get(ft packet.FiveTuple) (uint32, bool) {
+	if i := r.find(ft); i >= 0 {
+		return r.order[i].val, true
+	}
+	return 0, false
+}
+
+func (r *refLRU) set(ft packet.FiveTuple, v uint32) bool {
+	i := r.find(ft)
+	if i >= 0 {
+		r.order[i].val = v
+	}
+	return i >= 0
+}
+
+func (r *refLRU) del(ft packet.FiveTuple) bool {
+	i := r.find(ft)
+	if i >= 0 {
+		r.order = slices.Delete(r.order, i, i+1)
+	}
+	return i >= 0
+}
+
+// recency lists the table's keys, most recently used first.
+func recency(t *FlowTable) []packet.FiveTuple {
+	var out []packet.FiveTuple
+	for s := t.head; s != noSlot; s = t.entries[s].next {
+		out = append(out, t.entries[s].ft)
+	}
+	return out
+}
+
+// TestFlowTableUseMatchesReferenceLRU drives random Put/Use/Get/Set/
+// Delete sequences through a full-ish EvictLRU table and a slice-based
+// reference LRU: results, victims, values, Len and the whole recency
+// order must agree after every step.
+func TestFlowTableUseMatchesReferenceLRU(t *testing.T) {
+	const capacity, keys, steps = 8, 14, 4000
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := sim.NewRNG(seed)
+		tab := NewFlowTable(capacity, EvictLRU, seed)
+		ref := &refLRU{capacity: capacity}
+		for step := 0; step < steps; step++ {
+			k := evFlow(rng.Intn(keys))
+			v := uint32(rng.Intn(1000))
+			op := rng.Intn(5)
+			before := recency(tab)
+			switch op {
+			case 0:
+				victim, victimVal, evicted, ok := tab.Put(k, v)
+				rv, rvv, rev := ref.put(k, v)
+				if !ok || evicted != rev || victim != rv || victimVal != rvv {
+					t.Fatalf("seed %d step %d: Put = (%v, %d, %v, %v), reference (%v, %d, %v)",
+						seed, step, victim, victimVal, evicted, ok, rv, rvv, rev)
+				}
+			case 1:
+				got, ok := tab.Use(k)
+				want, wok := ref.use(k)
+				if got != want || ok != wok {
+					t.Fatalf("seed %d step %d: Use = %d, %v, reference %d, %v", seed, step, got, ok, want, wok)
+				}
+				if !ok && !slices.Equal(recency(tab), before) {
+					t.Fatalf("seed %d step %d: a Use miss changed the recency order", seed, step)
+				}
+			case 2:
+				got, ok := tab.Get(k)
+				want, wok := ref.get(k)
+				if got != want || ok != wok {
+					t.Fatalf("seed %d step %d: Get = %d, %v, reference %d, %v", seed, step, got, ok, want, wok)
+				}
+				if !slices.Equal(recency(tab), before) {
+					t.Fatalf("seed %d step %d: Get changed the recency order", seed, step)
+				}
+			case 3:
+				if got, want := tab.Set(k, v), ref.set(k, v); got != want {
+					t.Fatalf("seed %d step %d: Set = %v, reference %v", seed, step, got, want)
+				}
+			case 4:
+				if got, want := tab.Delete(k), ref.del(k); got != want {
+					t.Fatalf("seed %d step %d: Delete = %v, reference %v", seed, step, got, want)
+				}
+			}
+			if tab.Len() != len(ref.order) {
+				t.Fatalf("seed %d step %d: Len = %d, reference %d", seed, step, tab.Len(), len(ref.order))
+			}
+			order := recency(tab)
+			for i, e := range ref.order {
+				if order[i] != e.ft {
+					t.Fatalf("seed %d step %d: recency[%d] = %v, reference %v", seed, step, i, order[i], e.ft)
+				}
+				if got, _ := tab.Get(e.ft); got != e.val {
+					t.Fatalf("seed %d step %d: value of %v = %d, reference %d", seed, step, e.ft, got, e.val)
+				}
+			}
+		}
 	}
 }
 

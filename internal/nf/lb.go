@@ -174,10 +174,11 @@ func (lb *LoadBalancer) pickWithAffinity(ft packet.FiveTuple) (Backend, uint64, 
 		b, err := lb.Pick(ft)
 		return b, CyclesParse + CyclesLBPick, err
 	}
-	if idx, hit := lb.affinity.Get(ft); hit {
+	// Use refreshes recency before the pin is validated; a stale pin is
+	// deleted below, so the recency list ends up the same either way.
+	if idx, hit := lb.affinity.Use(ft); hit {
 		if int(idx) < len(lb.order) {
 			if b, alive := lb.backends[lb.order[idx]]; alive {
-				lb.affinity.Touch(ft)
 				lb.AffinityHits++
 				return b, CyclesParse + CyclesLBAffinity, nil
 			}

@@ -69,10 +69,13 @@ func (r *RNG) Exp(rate float64) float64 {
 
 // Zipf draws from a Zipf distribution over {0, ..., n-1} with exponent
 // s > 0 by inverse-transform over precomputed cumulative weights. Use
-// NewZipf to amortise the table across draws.
+// NewZipf to amortise the tables across draws.
 type Zipf struct {
 	cum []float64
-	rng *RNG
+	// guide[k] is the first rank whose cumulative weight is >= k/n: a
+	// draw starts there and walks a few ranks instead of bisecting.
+	guide []int32
+	rng   *RNG
 }
 
 // NewZipf builds a Zipf sampler over n elements with exponent s.
@@ -90,21 +93,38 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &Zipf{cum: cum, rng: rng}
+	return &Zipf{cum: cum, guide: guideFor(cum), rng: rng}
+}
+
+// guideFor returns the guide table of a cumulative weight table.
+func guideFor(cum []float64) []int32 {
+	n := len(cum)
+	guide := make([]int32, n)
+	i := 0
+	for k := range guide {
+		for i < n-1 && cum[i] < float64(k)/float64(n) {
+			i++
+		}
+		guide[k] = int32(i)
+	}
+	return guide
 }
 
 // Draw returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Draw() int {
-	u := z.rng.Float64()
-	// Binary search for the first cumulative weight >= u.
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (z *Zipf) Draw() int { return z.rank(z.rng.Float64()) }
+
+// rank returns the first rank whose cumulative weight is >= u (the
+// last rank if none is). The guide entry for u's bucket is a start
+// within a step or two of the answer; the two walks make the result
+// exact whatever the rounding of u*n.
+func (z *Zipf) rank(u float64) int {
+	n := len(z.cum)
+	i := int(z.guide[min(int(u*float64(n)), n-1)])
+	for i > 0 && z.cum[i-1] >= u {
+		i--
 	}
-	return lo
+	for i < n-1 && z.cum[i] < u {
+		i++
+	}
+	return i
 }

@@ -140,3 +140,67 @@ func TestZipfPanicsOnBadParams(t *testing.T) {
 	}()
 	NewZipf(NewRNG(1), 0, 1)
 }
+
+// bisectRank is the binary search Zipf.Draw used before the guide
+// table: the first rank whose cumulative weight is >= u.
+func bisectRank(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfRankMatchesBisection feeds the guide-table search random
+// draws and every boundary it could get wrong — each cumulative weight
+// and each bucket edge k/n, with their float neighbours — and requires
+// the binary search's answer every time.
+func TestZipfRankMatchesBisection(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 1000, 1024, 65537} {
+		for _, s := range []float64{0.3, 0.99, 1.1, 2.5} {
+			z := NewZipf(NewRNG(1), n, s)
+			check := func(u float64) {
+				if u < 0 || u >= 1 {
+					return // Float64 draws lie in [0, 1)
+				}
+				if got, want := z.rank(u), bisectRank(z.cum, u); got != want {
+					t.Fatalf("n=%d s=%v: rank(%v) = %d, binary search %d", n, s, u, got, want)
+				}
+			}
+			near := func(u float64) {
+				check(math.Nextafter(u, -1))
+				check(u)
+				check(math.Nextafter(u, 2))
+			}
+			for _, c := range z.cum {
+				near(c)
+			}
+			for k := 0; k <= n; k++ {
+				near(float64(k) / float64(n))
+			}
+			r := NewRNG(uint64(n) ^ math.Float64bits(s))
+			for i := 0; i < 200_000; i++ {
+				check(r.Float64())
+			}
+		}
+	}
+
+	// u*n can round up into the next bucket: u = 0.9⁻ lies below 9/10,
+	// yet int(u*10) is 9. With a cumulative weight of exactly u, the
+	// answer sits before the bucket's guide entry, so rank must step
+	// back.
+	u := math.Nextafter(0.9, 0)
+	cum := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, u, 1}
+	if int(u*10) != 9 {
+		t.Fatalf("int(%v*10) = %d, want the rounded-up bucket 9", u, int(u*10))
+	}
+	z := &Zipf{cum: cum, guide: guideFor(cum)}
+	if got, want := z.rank(u), bisectRank(cum, u); got != want || want != 8 {
+		t.Fatalf("rank(%v) = %d, binary search %d, want 8", u, got, want)
+	}
+}

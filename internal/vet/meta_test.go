@@ -61,7 +61,8 @@ func TestModuleSelfVet(t *testing.T) {
 // Complete) is a root of its own. The gate does not make them
 // allocation-free: each allocation it knowingly tolerates — amortized
 // growth of the event heap, the device completion rings and the
-// in-flight record pool — carries an explained hotalloc allow.
+// in-flight record pool, and the generator's template cache — carries
+// an explained hotalloc allow.
 func TestHotpathsAnnotated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is not short")
@@ -75,6 +76,7 @@ func TestHotpathsAnnotated(t *testing.T) {
 		"internal/nf.(*LinearMatcher).Match":      false,
 		"internal/nf.(*Firewall).Process":         false,
 		"internal/nf.(*Conntrack).Process":        false,
+		"internal/workload.(*Generator).Next":     false,
 		"internal/workload.(*ScenarioGen).NextAt": false,
 		"internal/measure.(*Ledger).Offer":        false,
 		"internal/measure.(*Ledger).Resolve":      false,

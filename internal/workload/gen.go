@@ -166,8 +166,11 @@ type Generator struct {
 	rng   *sim.RNG
 	// Generated counts packets produced.
 	Generated uint64
-	// templates caches built frames per flow index and size.
-	templates map[templateKey][]byte
+	// templates caches built frames; heads[flow] indexes the first of
+	// that flow's templates, chained through next (-1 ends a chain). A
+	// chain is as long as the number of distinct sizes (3 for IMIX).
+	templates []template
+	heads     []int32
 }
 
 type flowState struct {
@@ -175,9 +178,10 @@ type flowState struct {
 	attack bool
 }
 
-type templateKey struct {
-	flow int
-	size int
+// template is one cached frame of a flow and size.
+type template struct {
+	size, next int32
+	frame      []byte
 }
 
 // NewGenerator builds a generator.
@@ -186,7 +190,7 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	if spec.Flows < 0 || spec.AttackFraction < 0 || spec.AttackFraction > 1 || spec.TCPFraction < 0 || spec.TCPFraction > 1 {
 		return nil, fmt.Errorf("workload: invalid spec %+v", spec)
 	}
-	g := &Generator{spec: spec, rng: sim.NewRNG(spec.Seed), templates: make(map[templateKey][]byte)}
+	g := &Generator{spec: spec, rng: sim.NewRNG(spec.Seed)}
 	flowRng := g.rng.Derive("flows")
 	for i := 0; i < spec.Flows; i++ {
 		attack := flowRng.Float64() < spec.AttackFraction
@@ -240,9 +244,18 @@ func (g *Generator) Flows() int { return len(g.flows) }
 
 // Next produces the next packet. The frame aliases an internal
 // template; copy before mutating.
+//
+//fairbench:hotpath per-packet traffic generation
 func (g *Generator) Next() (Pkt, error) {
 	if len(g.flows) == 0 {
 		return Pkt{}, fmt.Errorf("workload: generator has no flows")
+	}
+	if g.heads == nil {
+		//fairlint:allow hotalloc the per-flow chain heads are made once, on the first packet
+		g.heads = make([]int32, len(g.flows))
+		for i := range g.heads {
+			g.heads[i] = -1
+		}
 	}
 	var idx int
 	if g.zipf != nil {
@@ -252,15 +265,24 @@ func (g *Generator) Next() (Pkt, error) {
 	}
 	fs := g.flows[idx]
 	size := g.spec.Sizes.Next(g.rng)
-	key := templateKey{flow: idx, size: size}
-	frame, ok := g.templates[key]
-	if !ok {
+	var frame []byte
+	for t := g.heads[idx]; t >= 0; t = g.templates[t].next {
+		if int(g.templates[t].size) == size {
+			frame = g.templates[t].frame
+			break
+		}
+	}
+	if frame == nil {
+		// A miss builds the (flow, size) template once; the frame is
+		// allocated in the packet builders, under their own allow.
 		var err error
 		frame, err = buildFrame(fs.ft, size)
 		if err != nil {
 			return Pkt{}, err
 		}
-		g.templates[key] = frame
+		//fairlint:allow hotalloc the template cache grows to at most flows x sizes entries
+		g.templates = append(g.templates, template{size: int32(size), next: g.heads[idx], frame: frame})
+		g.heads[idx] = int32(len(g.templates) - 1)
 	}
 	g.Generated++
 	return Pkt{Flow: fs.ft, Frame: frame, Attack: fs.attack}, nil
@@ -284,6 +306,17 @@ var genOpts = packet.BuildOpts{
 	DstMAC: packet.MAC{0x02, 0xfa, 0x1b, 0, 0, 2},
 }
 
+// filler is the payload every generated frame carries, sliced to
+// length: benign letters with no DPI signatures, as long as the IPv4
+// length field allows. It is read-only; the frame builders copy it.
+var filler = func() []byte {
+	b := make([]byte, 0xffff)
+	for i := range b {
+		b[i] = byte('a' + i%26)
+	}
+	return b
+}()
+
 // buildFrame constructs a frame of exactly size bytes for the flow.
 func buildFrame(ft packet.FiveTuple, size int) ([]byte, error) {
 	var overhead int
@@ -299,11 +332,10 @@ func buildFrame(ft packet.FiveTuple, size int) ([]byte, error) {
 	if payLen < 0 {
 		payLen = 0
 	}
-	//fairlint:allow hotalloc template payload is built once per flow signature, then cached
-	payload := make([]byte, payLen)
-	for i := range payload {
-		payload[i] = byte('a' + i%26) // benign filler, no DPI signatures
+	if payLen > len(filler) {
+		return nil, fmt.Errorf("workload: frame size %d overflows the IPv4 length field", size)
 	}
+	payload := filler[:payLen]
 	if ft.Proto == packet.ProtoUDP {
 		return packet.BuildUDP4(genOpts, ft, payload)
 	}

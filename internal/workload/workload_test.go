@@ -195,6 +195,74 @@ func TestNextCopyIsPrivate(t *testing.T) {
 	}
 }
 
+// TestGeneratorTemplateCache pins the template cache: every frame is
+// exactly what buildFrame makes for its flow and size, a repeated
+// (flow, size) hands back the same backing array, a warm Next
+// allocates nothing, the shared payload filler is never written, and
+// NextCopy still returns a private copy.
+func TestGeneratorTemplateCache(t *testing.T) {
+	fillerBefore := bytes.Clone(filler)
+	g, err := NewGenerator(Spec{Flows: 24, ZipfSkew: 1.1, TCPFraction: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		flow packet.FiveTuple
+		size int
+	}
+	seen := map[key]*byte{}
+	for i := 0; i < 5000; i++ {
+		pk, err := g.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := buildFrame(pk.Flow, len(pk.Frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pk.Frame, want) {
+			t.Fatalf("packet %d: frame differs from buildFrame(%v, %d)", i, pk.Flow, len(pk.Frame))
+		}
+		k := key{pk.Flow, len(pk.Frame)}
+		if first, ok := seen[k]; !ok {
+			seen[k] = &pk.Frame[0]
+		} else if first != &pk.Frame[0] {
+			t.Fatalf("packet %d: repeated (flow, size) got a new frame", i)
+		}
+	}
+	if len(g.templates) != len(seen) {
+		t.Fatalf("%d templates cached for %d distinct (flow, size) pairs", len(g.templates), len(seen))
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := g.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm Next allocates %v times per packet, want 0", allocs)
+	}
+	if !bytes.Equal(filler, fillerBefore) {
+		t.Fatal("generating packets wrote the shared payload filler")
+	}
+
+	one, err := NewGenerator(Spec{Flows: 1, Sizes: FixedSize(128), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl, _ := one.Next()
+	pristine := bytes.Clone(tmpl.Frame)
+	cp, err := one.NextCopy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &cp.Frame[0] == &tmpl.Frame[0] || !bytes.Equal(cp.Frame, tmpl.Frame) {
+		t.Fatal("NextCopy must return an equal frame in private memory")
+	}
+	cp.Frame[len(cp.Frame)-1] ^= 0xff
+	if again, _ := one.Next(); !bytes.Equal(again.Frame, pristine) || !bytes.Equal(filler, fillerBefore) {
+		t.Fatal("mutating a NextCopy frame changed the template or the filler")
+	}
+}
+
 func TestArrivalProcesses(t *testing.T) {
 	rng := sim.NewRNG(8)
 	if got := (CBR{}).NextGap(rng, 1000); got != 0.001 {
